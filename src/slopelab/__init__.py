@@ -21,7 +21,6 @@ from slopelab.elementary import (
     FormalModule,
     RegularPart,
     certify_nearby_slopes,
-    direct_sum,
     dual,
     elementary,
     irregularity,
@@ -32,7 +31,6 @@ from slopelab.elementary import (
     pullback,
     pushforward,
     regular_module,
-    slope,
     slopes,
     tensor,
     witness_twist,
@@ -48,8 +46,6 @@ from slopelab.exact_algebra import (
     MultiIndex,
     RamifiedExponent,
     Rat,
-    cyclo_mul,
-    exponent_substitute,
 )
 from slopelab.expr import module_to_expr, parse_and_eval, parse_module
 from slopelab.monomial_models import (

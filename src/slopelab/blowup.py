@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from slopelab.errors import FalsificationError, ScriptError
 
@@ -357,36 +357,55 @@ def verify_inequality(state: BlowupState) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 def step_from_dict(data: Mapping, mode: str) -> BlowupStep:
-    if mode == "toric":
-        if "center" not in data:
-            raise ScriptError("toric step needs a 'center' list of ids")
-        return BlowupStep(center=tuple(str(c) for c in data["center"]))
-    return BlowupStep(
-        alpha=tuple(int(a) for a in data.get("alpha", ())),
-        epsS=tuple(int(e) for e in data["epsS"]) if "epsS" in data else None,
-        epsE=tuple(int(e) for e in data["epsE"]) if "epsE" in data else None,
-    )
+    if not isinstance(data, Mapping):
+        raise ScriptError(f"a step must be a JSON object, got {data!r}")
+    try:
+        if mode == "toric":
+            if "center" not in data:
+                raise ScriptError("toric step needs a 'center' list of ids")
+            return BlowupStep(center=tuple(str(c) for c in data["center"]))
+        return BlowupStep(
+            alpha=tuple(int(a) for a in data.get("alpha", ())),
+            epsS=tuple(int(e) for e in data["epsS"]) if "epsS" in data else None,
+            epsE=tuple(int(e) for e in data["epsE"]) if "epsE" in data else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ScriptError(f"malformed step: {exc}")
 
 
-def chain_from_script(script: Mapping) -> BlowupState:
-    """Fold blow_up over a script dictionary; deterministic.
+def iter_chain(script: Mapping) -> Iterator[BlowupState]:
+    """Parse a script dictionary, then yield its initial state and the state
+    after each step; deterministic.
 
-    Step rejections are re-raised with the 1-based step index attached.
+    Steps are parsed one at a time, so a consumer that stops early never
+    reads the rest.  Step rejections are re-raised with the 1-based step
+    index attached.
     """
     try:
         dim = int(script["dim"])
         mode = str(script.get("mode", "toric"))
         z_mult = [int(v) for v in script["Z"]["a"]]
         s_mult = [Fraction(str(v)) for v in script["S"]["r"]]
-        raw_steps = list(script.get("steps", ()))
+        raw_steps = script.get("steps", ())
     except (KeyError, TypeError, ValueError) as exc:
         raise ScriptError(f"malformed script: {exc}")
+    if not isinstance(raw_steps, (list, tuple)):
+        raise ScriptError(f"malformed script: 'steps' must be a list, "
+                          f"got {raw_steps!r}")
     state = initial_state(dim, z_mult, s_mult, mode)
+    yield state
     for idx, raw in enumerate(raw_steps, start=1):
         try:
             state = blow_up(state, step_from_dict(raw, mode))
         except ScriptError as exc:
             raise ScriptError(str(exc), step=idx) from exc
+        yield state
+
+
+def chain_from_script(script: Mapping) -> BlowupState:
+    """Fold blow_up over a script dictionary: the last state of iter_chain."""
+    for state in iter_chain(script):
+        pass
     return state
 
 

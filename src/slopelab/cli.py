@@ -16,6 +16,8 @@ from fractions import Fraction
 from slopelab import blowup as blowup_mod
 from slopelab import randomgen
 from slopelab.elementary import (
+    DEFAULT_ORD_BOUND,
+    DEFAULT_RAM_BOUND,
     certify_nearby_slopes,
     irregularity,
     is_regular,
@@ -64,8 +66,8 @@ def _build_parser() -> _Parser:
     p_nearby.add_argument("-p", type=int, required=True)
     p_nearby.add_argument("--cert", action="store_true",
                           help="emit witness and exhaustion certificates")
-    p_nearby.add_argument("--ram-bound", type=int, default=12)
-    p_nearby.add_argument("--ord-bound", type=int, default=24)
+    p_nearby.add_argument("--ram-bound", type=int, default=DEFAULT_RAM_BOUND)
+    p_nearby.add_argument("--ord-bound", type=int, default=DEFAULT_ORD_BOUND)
     p_nearby.add_argument("--json", action="store_true")
 
     p_bound = sub.add_parser("bound", help="bounds for a monomial good model")
@@ -260,24 +262,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_blowup(args) -> int:
     script = blowup_mod.load_script(args.script)
-    state = None
     step_reports = []
-    try:
-        dim = int(script["dim"])
-        mode = str(script.get("mode", "toric"))
-        state = blowup_mod.initial_state(
-            dim, [int(v) for v in script["Z"]["a"]],
-            [Fraction(str(v)) for v in script["S"]["r"]], mode)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScriptError(f"malformed script: {exc}")
-    for idx, raw in enumerate(script.get("steps", ()), start=1):
-        try:
-            state = blowup_mod.blow_up(state, blowup_mod.step_from_dict(raw, mode))
-        except ScriptError as exc:
-            raise ScriptError(str(exc), step=idx) from exc
-        if args.verify:
+    for state in blowup_mod.iter_chain(script):
+        if args.verify and state.steps_applied:
             report = blowup_mod.verify_inequality(state)
-            step_reports.append((idx, report.ok))
+            step_reports.append((state.steps_applied, report.ok))
             if not report.ok:
                 break
     final = blowup_mod.verify_inequality(state)
@@ -353,9 +342,6 @@ def main(argv=None) -> int:
     except FalsificationError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return 2
-
-
-run_command = main
 
 
 if __name__ == "__main__":

@@ -240,21 +240,9 @@ class FormalModule:
         return FormalModule.of(self.factors + other.factors)
 
 
-def direct_sum(*modules: FormalModule) -> FormalModule:
-    out = FormalModule.zero()
-    for m in modules:
-        out = out + m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Slope data.
 # ---------------------------------------------------------------------------
-
-def slope(factor: ElementaryModule) -> Fraction:
-    """Slope of an elementary module: pole order of phi over the ramification."""
-    return factor.slope
-
 
 def slopes(module: FormalModule) -> dict[Fraction, int]:
     """Slope multiset: each factor contributes its slope with multiplicity
@@ -353,15 +341,14 @@ def tensor(left: FormalModule, right: FormalModule) -> FormalModule:
     return FormalModule.of(parts)
 
 
-@lru_cache(maxsize=131072)
-def _tensor_pair(a: ElementaryModule, b: ElementaryModule) -> tuple:
+def _conjugate_sums(a: ElementaryModule, b: ElementaryModule):
+    # The g = gcd(p, q) conjugate exponent sums phi(zeta_p^j * w**(q/g)) +
+    # psi(w**(p/g)) of a pair, as {exponent: coefficient} dicts on the
+    # degree-lcm(p, q) cover.
     p, q = a.ram, b.ram
     g = gcd(p, q)
-    lcm = p * q // g
     qg, pg = q // g, p // g
-    reg = a.reg.scale_exponents(qg).tensor(b.reg.scale_exponents(pg))
     base = {k * pg: c for k, c in b.phi.terms}
-    parts = []
     for j in range(g):
         terms = dict(base)
         for k, c in a.phi.terms:
@@ -369,8 +356,16 @@ def _tensor_pair(a: ElementaryModule, b: ElementaryModule) -> tuple:
             add = c * CycloRat.zeta(p, j * k) if j else c
             prev = terms.get(kk)
             terms[kk] = add if prev is None else prev + add
-        parts.append(make_elementary(lcm, terms, reg))
-    return tuple(parts)
+        yield terms
+
+
+@lru_cache(maxsize=131072)
+def _tensor_pair(a: ElementaryModule, b: ElementaryModule) -> tuple:
+    p, q = a.ram, b.ram
+    g = gcd(p, q)
+    reg = a.reg.scale_exponents(q // g).tensor(b.reg.scale_exponents(p // g))
+    return tuple(make_elementary(p * q // g, terms, reg)
+                 for terms in _conjugate_sums(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +389,12 @@ def _pair_regular_rank(a: ElementaryModule, b: ElementaryModule) -> int:
     # Regular rank of the elementary-pair tensor, by exact cancellation
     # detection only: a conjugate summand is regular iff its exponent sum
     # vanishes identically, in which case it contributes lcm * rkA * rkB.
-    p, q = a.ram, b.ram
-    g = gcd(p, q)
-    lcm = p * q // g
-    qg, pg = q // g, p // g
-    if Fraction(a.phi.pole_order, p) != Fraction(b.phi.pole_order, q):
-        # Different slopes can never cancel; only equal-slope pairs may.
-        if a.phi.terms or b.phi.terms:
-            return 0
-    base = {k * pg: c for k, c in b.phi.terms}
-    cancelling = 0
-    for j in range(g):
-        terms = dict(base)
-        for k, c in a.phi.terms:
-            kk = k * qg
-            add = c * CycloRat.zeta(p, j * k) if j else c
-            prev = terms.get(kk)
-            terms[kk] = add if prev is None else prev + add
-        if all(c.is_zero for c in terms.values()):
-            cancelling += 1
+    # Different slopes can never cancel; only equal-slope pairs may.
+    if a.slope != b.slope:
+        return 0
+    cancelling = sum(1 for terms in _conjugate_sums(a, b)
+                     if all(c.is_zero for c in terms.values()))
+    lcm = a.ram * b.ram // gcd(a.ram, b.ram)
     return cancelling * lcm * a.reg.rank * b.reg.rank
 
 
@@ -587,8 +569,12 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     twist; every other slope on the bounded rational grid is certified by
     exhausting the elementary twists of that slope within the bounds and
     checking that each gives vanishing nearby cycles.  A failure on either
-    side raises FalsificationError.
+    side raises FalsificationError.  Bounds below 1 would leave the grid
+    vacuous and raise ValueError before any work starts.
     """
+    if ram_bound < 1 or ord_bound < 1:
+        raise ValueError(f"certificate bounds must be >= 1, got ram_bound="
+                         f"{ram_bound}, ord_bound={ord_bound}")
     claimed = nearby_slopes(module, p, verify=False)
     members = []
     for r in sorted(claimed):

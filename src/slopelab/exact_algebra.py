@@ -146,7 +146,13 @@ def _fix_subgroup(order: int, d: int) -> tuple[int, ...]:
                  if gcd(k, order) == 1 and k % d == 1)
 
 
-def _galois_apply(order: int, k: int, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _map_powers(order: int, coords: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
+    # Coords in the order-`order` field of sum_i coords[i] * zeta_order**(i*k).
+    # With k = order/d this embeds an element of Q(zeta_d); with k a unit mod
+    # `order` it applies the Galois automorphism sigma_k.  Either way k = 1
+    # means coords already live in the order-`order` field: the identity.
+    if k == 1:
+        return tuple(coords)
     deg = euler_phi(order)
     acc = [Fraction(0)] * deg
     for i, c in enumerate(coords):
@@ -171,7 +177,7 @@ def _demote_cached(order: int, coords: tuple[Fraction, ...]):
     for d in divisors(order)[:-1]:
         if d == 1:
             continue  # rational values are caught by the fast path
-        if any(_galois_apply(order, k, coords) != coords
+        if any(_map_powers(order, coords, k) != coords
                for k in _fix_subgroup(order, d)):
             continue
         sol = _solve_columns(_subfield_basis(order, d), coords)
@@ -279,20 +285,6 @@ class CycloRat:
             return CycloRat.from_rational(value)
         return None
 
-    def _embed(self, order: int) -> tuple[Fraction, ...]:
-        # Coords of self inside the (larger, compatible) field of `order`.
-        if order == self.order:
-            return self.coords
-        step = order // self.order
-        deg = euler_phi(order)
-        acc = [Fraction(0)] * deg
-        for i, c in enumerate(self.coords):
-            if c:
-                for j, b in enumerate(_zeta_power_coords(order, i * step)):
-                    if b:
-                        acc[j] += c * b
-        return tuple(acc)
-
     # -- predicates & views --------------------------------------------------
 
     @property
@@ -328,7 +320,9 @@ class CycloRat:
         if self.order == 1:
             return other + self
         order = _lcm(self.order, other.order)
-        coords = tuple(a + b for a, b in zip(self._embed(order), other._embed(order)))
+        coords = tuple(a + b for a, b in zip(
+            _map_powers(order, self.coords, order // self.order),
+            _map_powers(order, other.coords, order // other.order)))
         order, coords = _demote(order, coords)
         return CycloRat(order, coords, _canonical=True)
 
@@ -365,7 +359,8 @@ class CycloRat:
         if self.order == 1:
             return other * self
         order = _lcm(self.order, other.order)
-        a, b = self._embed(order), other._embed(order)
+        a = _map_powers(order, self.coords, order // self.order)
+        b = _map_powers(order, other.coords, order // other.order)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -467,9 +462,6 @@ def _lcm(a: int, b: int) -> int:
 _ZERO = CycloRat(1, (Fraction(0),), _canonical=True)
 _ONE = CycloRat(1, (Fraction(1),), _canonical=True)
 
-CYCLO_ZERO = _ZERO
-CYCLO_ONE = _ONE
-
 
 # ---------------------------------------------------------------------------
 # Ramified principal parts.
@@ -531,21 +523,13 @@ class RamifiedExponent:
     def as_dict(self) -> dict[int, CycloRat]:
         return dict(self.terms)
 
-    def substitute(self, zeta: CycloRat, scale: int = 1) -> "RamifiedExponent":
-        """phi(zeta * u**scale) in canonical form.
-
-        `zeta` should be a root of unity; each coefficient picks up zeta**k
-        and each exponent is multiplied by `scale`.
-        """
-        if scale < 1:
-            raise ValueError(f"scale must be >= 1, got {scale}")
-        zeta = CycloRat._coerce(zeta)
-        return RamifiedExponent(
-            self.ram, {k * scale: c * zeta ** k for k, c in self.terms})
-
     def substitute_root(self, order: int, j: int, scale: int = 1) -> "RamifiedExponent":
-        """Same as substitute(zeta(order)**j, scale), but the root-of-unity
-        powers are taken by exponent arithmetic (cheap and cached)."""
+        """phi(zeta(order)**j * u**scale) in canonical form.
+
+        Each coefficient c_k picks up zeta(order)**(j*k), taken by exponent
+        arithmetic (cheap and cached), and each exponent is multiplied by
+        `scale`.
+        """
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
         return RamifiedExponent(
@@ -572,18 +556,6 @@ class RamifiedExponent:
             return "RamifiedExponent(1, 0)"
         body = " + ".join(f"({c})*u^{k}" for k, c in self.terms)
         return f"RamifiedExponent({self.ram}, {body})"
-
-
-def cyclo_mul(a: CycloRat, b: CycloRat) -> CycloRat:
-    """Exact product of cyclotomic numbers (operands embed into the field of
-    the lcm of their orders)."""
-    return a * b
-
-
-def exponent_substitute(phi: RamifiedExponent, zeta: CycloRat,
-                        scale: int = 1) -> RamifiedExponent:
-    """Galois twist and cover substitution for principal parts: phi(zeta*u**scale)."""
-    return phi.substitute(zeta, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +591,6 @@ class MultiIndex:
     @property
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def restrict(self, keep: Iterable[int]) -> "MultiIndex":
-        """Zero out every entry whose index is not in `keep`."""
-        keep = set(keep)
-        return MultiIndex(tuple(e if k in keep else 0
-                                for k, e in enumerate(self.entries)))
 
     def dot(self, weights: Sequence) -> object:
         if len(weights) != len(self.entries):

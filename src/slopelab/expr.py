@@ -27,11 +27,11 @@ from typing import Iterator, Optional
 
 from slopelab.elementary import (
     FormalModule,
-    RegularPart,
     dual,
-    make_elementary,
+    elementary,
     pullback,
     pushforward,
+    regular_module,
     tensor,
 )
 from slopelab.errors import ExpressionError
@@ -419,13 +419,10 @@ def evaluate(node: ModuleExpr) -> FormalModule:
     if isinstance(node, ZeroNode):
         return FormalModule.zero()
     if isinstance(node, RegNode):
-        reg = (RegularPart.from_exponents(node.exps) if node.exps is not None
-               else RegularPart.of_rank(node.rank))
-        return FormalModule.of([make_elementary(1, {}, reg)])
+        return regular_module(node.rank, exponents=node.exps)
     if isinstance(node, ElNode):
-        reg = (RegularPart.from_exponents(node.exps) if node.exps is not None
-               else RegularPart.of_rank(node.rank))
-        return FormalModule.of([make_elementary(node.ram, dict(node.phi), reg)])
+        return elementary(node.ram, dict(node.phi), rank=node.rank,
+                          exponents=node.exps)
     if isinstance(node, SumNode):
         out = FormalModule.zero()
         for part in node.parts:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from slopelab.elementary import FormalModule, RegularPart, make_elementary
 from slopelab.errors import ScriptError
@@ -247,8 +247,12 @@ def model_from_dict(data: dict) -> GoodModel:
         raw_factors = data["factors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ScriptError(f"model file needs integer 'dim' and 'factors': {exc}")
+    if not isinstance(raw_factors, (list, tuple)):
+        raise ScriptError(f"model file needs a list of 'factors', got {raw_factors!r}")
     factors = []
     for idx, raw in enumerate(raw_factors):
+        if not isinstance(raw, Mapping):
+            raise ScriptError(f"factor {idx}: expected an object, got {raw!r}")
         try:
             pole = MultiIndex(tuple(int(e) for e in raw["pole"]))
             twist = tuple(_parse_rat(t) for t in raw.get("twist", [0] * dim))

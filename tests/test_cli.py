@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from slopelab.cli import main
 
 
@@ -102,6 +104,48 @@ def test_blowup_script_error_names_step(tmp_path, capsys):
     code, _, err = run(capsys, "blowup", "-s", str(script))
     assert code == 1
     assert "step 1" in err
+
+
+def assert_clean_error(code, err, *words):
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(word in err for word in words)
+
+
+_SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}}
+
+
+@pytest.mark.parametrize("steps, words", [
+    ([1], ("step 1", "JSON object")),
+    ([{"center": ["D1", "D2"]}, "D1"], ("step 2", "JSON object")),
+    ({"center": ["D1", "D2"]}, ("'steps' must be a list",)),
+    ([{"center": 5}], ("step 1", "malformed step")),
+])
+def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, steps, words):
+    script = tmp_path / "s.blowup"
+    script.write_text(json.dumps(dict(_SCRIPT, steps=steps)))
+    code, _, err = run(capsys, "blowup", "-s", str(script), "--verify")
+    assert_clean_error(code, err, *words)
+
+
+@pytest.mark.parametrize("factors, words", [
+    (5, ("list of 'factors'",)),
+    ([{"pole": [1, 0]}, 7], ("factor 1", "expected an object")),
+])
+def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, factors, words):
+    model = tmp_path / "m.model"
+    model.write_text(json.dumps({"dim": 2, "factors": factors}))
+    code, _, err = run(capsys, "bound", "-m", str(model), "-f", "x1")
+    assert_clean_error(code, err, *words)
+
+
+@pytest.mark.parametrize("flag, value", [("--ram-bound", "0"),
+                                          ("--ord-bound", "-3")])
+def test_nearby_cert_rejects_vacuous_bounds(capsys, flag, value):
+    code, out, err = run(capsys, "nearby", "-e", "El(1,u^-1,rank=1)", "-p", "1",
+                         "--cert", flag, value)
+    assert_clean_error(code, err, "bounds must be >= 1")
+    assert out == ""
 
 
 def test_selftest_small(capsys):

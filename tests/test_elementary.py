@@ -24,6 +24,7 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
+from slopelab.elementary import _pair_regular_rank, _tensor_pair
 from slopelab.exact_algebra import CycloRat
 from slopelab.randomgen import random_formal_module
 
@@ -329,3 +330,36 @@ def test_cyclotomic_coefficients_flow_through_the_calculus():
     n = witness_twist(m, F(2, 3), 1)
     assert psi_dim(tensor(m, pullback(1, n)), 1) > 0
     assert dual(dual(m)) == m
+
+
+def test_pair_regular_rank_matches_the_canonical_tensor():
+    # Oracle for the shared conjugate-sum kernel: counting the vanishing
+    # sums of a pair must agree with canonicalizing the pair's tensor and
+    # reading its regular rank.  Every odd draw pairs its factor with the
+    # pulled-back factors of its witness twist, so cancellation really occurs.
+    rng = random.Random(2024)
+    z3, z4 = CycloRat.zeta(3), CycloRat.zeta(4)
+    coeffs = (F(1), F(-2), F(1, 3), z3, -z4, z3 + 2 * z4)
+    exponent_sets = ((0,), (F(1, 2),), (0, F(1, 3)))
+
+    def random_factor():
+        terms = {-rng.randint(1, 6): rng.choice(coeffs)
+                 for _ in range(rng.randint(0, 2))}
+        reg = RegularPart.from_exponents(rng.choice(exponent_sets))
+        return make_elementary(rng.randint(1, 6), terms, reg)
+
+    pairs = []
+    for i in range(60):
+        a = random_factor()
+        if i % 2 and not a.is_regular:
+            p = rng.randint(1, 3)
+            twist = witness_twist(FormalModule.of([a]), a.slope, p)
+            pairs.extend((a, b) for b in pullback(p, twist).factors)
+        else:
+            pairs.append((a, random_factor()))
+    cancelling = 0
+    for a, b in pairs:
+        fast = _pair_regular_rank(a, b)
+        assert fast == regular_rank(FormalModule.of(_tensor_pair(a, b))), (a, b)
+        cancelling += fast > 0
+    assert cancelling >= 20

@@ -15,7 +15,6 @@ from slopelab.exact_algebra import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
-    exponent_substitute,
 )
 
 
@@ -201,13 +200,13 @@ def test_sort_key_is_a_total_order_on_samples():
 
 def test_substitute_scale_doubles_monomial():
     phi = RamifiedExponent(1, {-3: 1})
-    out = exponent_substitute(phi, CycloRat.from_rational(1), 2)
+    out = phi.substitute_root(1, 0, 2)
     assert out == RamifiedExponent(1, {-6: 1})
 
 
 def test_substitute_sign_twist():
     phi = RamifiedExponent(1, {-1: 1})
-    out = exponent_substitute(phi, CycloRat.from_rational(-1), 1)
+    out = phi.substitute_root(2, 1, 1)  # zeta(2) = -1
     assert out == RamifiedExponent(1, {-1: -1})
 
 
@@ -215,33 +214,31 @@ def test_substitute_fourth_root_twist():
     # phi = u^-2 + u^-1 twisted by zeta_4: -u^-2 - zeta_4 * u^-1.
     z4 = CycloRat.zeta(4)
     phi = RamifiedExponent(1, {-2: 1, -1: 1})
-    out = exponent_substitute(phi, z4, 1)
+    out = phi.substitute_root(4, 1, 1)
     assert out.as_dict() == {-2: CycloRat.from_rational(-1), -1: -z4}
 
 
 def test_substitute_identity_and_scale_multiplicativity():
     rng = random.Random(777)
-    one = CycloRat.from_rational(1)
     for _ in range(40):
         ram = rng.randint(1, 4)
         terms = {-k: Fraction(rng.randint(1, 3)) for k in rng.sample(range(1, 9), 2)}
         phi = RamifiedExponent(ram, terms)
-        assert exponent_substitute(phi, one, 1) == phi
+        assert phi.substitute_root(1, 0) == phi
         s, t = rng.randint(1, 3), rng.randint(1, 3)
-        once = exponent_substitute(exponent_substitute(phi, one, s), one, t)
-        assert once == exponent_substitute(phi, one, s * t)
+        once = phi.substitute_root(1, 0, s).substitute_root(1, 0, t)
+        assert once == phi.substitute_root(1, 0, s * t)
 
 
 def test_pole_order_scales_for_unramified_tails():
     # The integer form of the scaling law holds whenever ram = 1.
     rng = random.Random(778)
-    one = CycloRat.from_rational(1)
     for _ in range(40):
         terms = {-k: Fraction(rng.randint(1, 3)) for k in rng.sample(range(1, 9), 2)}
         phi = RamifiedExponent(1, terms)
         s = rng.randint(1, 4)
-        zeta = CycloRat.zeta(rng.choice((1, 2, 3, 4)))
-        assert exponent_substitute(phi, zeta, s).pole_order == s * phi.pole_order
+        order = rng.choice((1, 2, 3, 4))
+        assert phi.substitute_root(order, 1, s).pole_order == s * phi.pole_order
 
 
 def test_pole_order_over_ram_scales_in_general():
@@ -252,7 +249,7 @@ def test_pole_order_over_ram_scales_in_general():
         terms = {-k: Fraction(rng.randint(1, 3)) for k in rng.sample(range(1, 9), 2)}
         phi = RamifiedExponent(ram, terms)
         s = rng.randint(1, 4)
-        out = exponent_substitute(phi, CycloRat.from_rational(1), s)
+        out = phi.substitute_root(1, 0, s)
         assert Fraction(out.pole_order, out.ram) == s * Fraction(phi.pole_order, phi.ram)
 
 
@@ -283,11 +280,12 @@ def test_cancelling_coefficients_drop_terms():
 # ---------------------------------------------------------------------------
 
 def test_multiindex_support_and_restriction():
+    # Restriction to a coordinate subset, read through the indicator weights.
     i = MultiIndex((2, 0, 3, 0))
     assert i.support == (0, 2)
-    assert i.restrict([0]).entries == (2, 0, 0, 0)
-    assert i.restrict([1, 3]).entries == (0, 0, 0, 0)
-    assert i.restrict(range(4)) == i
+    assert i.dot((1, 0, 0, 0)) == 2
+    assert i.dot((0, 1, 0, 1)) == 0
+    assert i.dot((1, 1, 1, 1)) == 5
 
 
 def test_multiindex_rejects_negative_entries():
