@@ -290,6 +290,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.cases < 1:
+        raise _UsageError("--cases must be >= 1")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("SLOPELAB_SEED", randomgen.DEFAULT_SEED))
@@ -335,7 +337,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ExpressionError, ScriptError, FileNotFoundError,
+    except (ExpressionError, ScriptError, OSError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

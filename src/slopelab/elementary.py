@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import CycloRat, RamifiedExponent
+from slopelab.exact_algebra import CycloRat, RamifiedExponent, _zeta_pow
 
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
@@ -142,17 +142,29 @@ class ElementaryModule:
 def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
     # Distinguished orbit representative under u -> zeta_ram^j * u:
     # lexicographically minimal coefficient sequence, graded by exponent.
+    #
+    # The k-th coefficient of the j-th conjugate is c_k * zeta_ram^(j*k),
+    # and every conjugate has the same exponent set, so the lexicographic
+    # minimum is decided term by term: at each exponent keep the j whose
+    # coefficient has the least sort key.  Two j tie on a term exactly when
+    # j*k agrees mod ram (sort keys are canonical), so grouping by that
+    # residue drops only conjugates that lose, and only the one survivor
+    # is ever built.
     phi = RamifiedExponent(ram, terms)
     if ram == 1 or phi.is_zero:
         return phi
-    best = phi
-    best_key = phi.sort_key()
-    for j in range(1, ram):
-        cand = phi.substitute_root(ram, j, 1)
-        key = cand.sort_key()
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+    survivors = range(ram)
+    for k, c in phi.terms:
+        by_residue: dict[int, list[int]] = {}
+        for j in survivors:
+            by_residue.setdefault(j * k % ram, []).append(j)
+        best = min(by_residue,
+                   key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
+        survivors = by_residue[best]
+        if len(survivors) == 1:
+            break
+    j = survivors[0]
+    return phi.substitute_root(ram, j, 1) if j else phi
 
 
 def make_elementary(ram: int,

@@ -246,8 +246,8 @@ class CycloRat:
 
     def __init__(self, order: int, coords: Iterable[Fraction | int], *,
                  _canonical: bool = False):
-        coords = tuple(Fraction(c) for c in coords)
         if not _canonical:
+            coords = tuple(Fraction(c) for c in coords)
             if order < 1:
                 raise ValueError(f"field order must be >= 1, got {order}")
             deg = euler_phi(order)
@@ -270,7 +270,12 @@ class CycloRat:
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycloRat":
-        """zeta(n)**power, a primitive n-th root of unity raised to `power`."""
+        """zeta(n)**power, a primitive n-th root of unity raised to `power`.
+
+        The result is stored in Q(zeta(d)) for the conductor
+        d = n/gcd(n, power), or as minus a power of zeta(d/2) in
+        Q(zeta(d/2)) when d = 2 (mod 4); see `_zeta_pow`.
+        """
         if n < 1:
             raise ValueError(f"root-of-unity order must be >= 1, got {n}")
         return _zeta_pow(n, power % n)
@@ -450,9 +455,25 @@ class CycloRat:
 
 @lru_cache(maxsize=None)
 def _zeta_pow(n: int, e: int) -> CycloRat:
+    """zeta(n)**e in canonical form, read off in closed form.
+
+    With g = gcd(n, e), the value is the primitive d-th root zeta(d)**k for
+    d = n/g and k = e/g.  A field Q(zeta(d')) holds it only if d divides d'
+    or d = 2 (mod 4) and d/2 divides d'.  So unless d = 2 (mod 4), d is the
+    order it demotes to and its power-basis coordinates there are canonical
+    as they stand.  When d = 2 (mod 4), m = d/2 is odd,
+    Q(zeta(d)) = Q(zeta(m)), and zeta(d)**k = -zeta(m)**(k*(m+1)/2 mod m),
+    because zeta(d)**m = -1 and (m+1)/2 inverts 2 modulo m.  No demotion
+    runs on this path.
+    """
     e %= n
-    dense = [Fraction(0)] * e + [Fraction(1)]
-    return CycloRat(n, dense)
+    g = gcd(n, e)
+    d, k = n // g, e // g
+    if d % 4 == 2:
+        m = d // 2
+        coords = _zeta_power_coords(m, k * (m + 1) // 2)
+        return CycloRat(m, tuple(-c for c in coords), _canonical=True)
+    return CycloRat(d, _zeta_power_coords(d, k), _canonical=True)
 
 
 def _lcm(a: int, b: int) -> int:

@@ -139,6 +139,15 @@ def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, factors, words):
     assert_clean_error(code, err, *words)
 
 
+@pytest.mark.parametrize("argv", [("bound", "-m", "{dir}", "-f", "x1"),
+                                  ("blowup", "-s", "{dir}")])
+def test_directory_path_exits_1(tmp_path, capsys, argv):
+    argv = [word.format(dir=tmp_path) for word in argv]
+    code, out, err = run(capsys, *argv)
+    assert_clean_error(code, err, str(tmp_path))
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--ram-bound", "0"),
                                           ("--ord-bound", "-3")])
 def test_nearby_cert_rejects_vacuous_bounds(capsys, flag, value):
@@ -152,6 +161,14 @@ def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--cases", "4", "--seed", "3")
     assert code == 0
     assert "all suites passed" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-2"])
+def test_selftest_rejects_vacuous_case_counts(capsys, cases):
+    code, out, err = run(capsys, "selftest", "--cases", cases, "--seed", "3")
+    assert code == 1
+    assert err.startswith("usage error: ") and "--cases must be >= 1" in err
+    assert out == ""
 
 
 def test_selftest_env_seed(capsys, monkeypatch):

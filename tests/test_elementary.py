@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,8 +25,8 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _pair_regular_rank, _tensor_pair
-from slopelab.exact_algebra import CycloRat
+from slopelab.elementary import _galois_canonical, _pair_regular_rank, _tensor_pair
+from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.randomgen import random_formal_module
 
 F = Fraction
@@ -34,6 +35,29 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # Canonical forms.
 # ---------------------------------------------------------------------------
+
+def test_pruned_galois_canonical_matches_the_full_orbit():
+    # Oracle: build all ram conjugates and take the least sort key.  Leading
+    # exponents sharing a factor with ram make several j tie on the first
+    # term, so later terms must break the tie.
+    rng = random.Random(31)
+    z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
+    coeffs = (F(1), F(-1), F(2, 3), z3, -z3, z4, z5, 1 + z4, z3 * z5)
+    ties = 0
+    for _ in range(300):
+        ram = rng.randint(2, 12)
+        shared = [k for k in range(2, 13) if gcd(k, ram) > 1]
+        lead = rng.choice(shared if rng.random() < 0.5 else range(1, 13))
+        tail = rng.sample(range(1, lead), min(rng.randint(0, 2), lead - 1))
+        phi = RamifiedExponent(ram, {-k: rng.choice(coeffs) for k in [lead] + tail})
+        if phi.ram == 1:
+            continue
+        oracle = min((phi.substitute_root(phi.ram, j) for j in range(phi.ram)),
+                     key=lambda cand: cand.sort_key())
+        assert _galois_canonical(phi.ram, phi.terms) == oracle, phi
+        ties += gcd(phi.terms[0][0], phi.ram) > 1 and len(phi.terms) > 1
+    assert ties >= 100
+
 
 def test_rank_and_slope_of_elementary_factor():
     m = elementary(2, {-3: 1})

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopelab import exact_algebra
 from slopelab.exact_algebra import (
     CycloRat,
     MultiIndex,
@@ -109,6 +110,24 @@ def test_canonical_form_across_construction_routes():
     # zeta_8^4 = -1 is rational.
     assert (CycloRat.zeta(8) ** 4).order == 1
     assert CycloRat.zeta(8) ** 4 == -1
+
+
+def test_closed_form_roots_match_the_demotion_route():
+    # The general constructor reduces the dense x^e modulo Phi_n and demotes
+    # it by Gaussian elimination; it is the oracle for the closed form.
+    for n in list(range(1, 49)) + [60, 64, 70, 72, 84, 90]:
+        for e in range(n):
+            fast = CycloRat.zeta(n, e)
+            slow = CycloRat(n, [0] * e + [1])
+            assert (fast.order, fast.coords) == (slow.order, slow.coords), (n, e)
+
+
+def test_roots_of_unity_never_demote():
+    exact_algebra._demote_cached.cache_clear()
+    exact_algebra._zeta_pow.cache_clear()
+    for e in range(600):
+        CycloRat.zeta(600, e)
+    assert exact_algebra._demote_cached.cache_info().misses == 0
 
 
 def test_rational_embedding_and_arithmetic():
