@@ -389,6 +389,8 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
         raw_steps = script.get("steps", ())
     except (KeyError, TypeError, ValueError) as exc:
         raise ScriptError(f"malformed script: {exc}")
+    except ZeroDivisionError as exc:
+        raise ScriptError(f"malformed script: zero denominator in {exc}")
     if not isinstance(raw_steps, (list, tuple)):
         raise ScriptError(f"malformed script: 'steps' must be a list, "
                           f"got {raw_steps!r}")

@@ -469,8 +469,20 @@ def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[F
             if psi_dim_twisted(module, twist, p) <= 0:
                 raise FalsificationError(
                     f"witness twist for nearby slope {r} (p={p}) has vanishing "
-                    f"nearby cycles; module: {module}")
+                    f"nearby cycles; {_replay(module, p)}")
     return out
+
+
+def _expr(module: FormalModule) -> str:
+    from slopelab.expr import module_to_expr  # expr imports this module
+    return module_to_expr(module)
+
+
+def _replay(module: FormalModule, p: int) -> str:
+    # Falsification context: the module as parseable text and the command
+    # that reruns the check.
+    text = _expr(module)
+    return f"module: {text}; replay: slopelab nearby -e '{text}' -p {p} --cert"
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +606,8 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
         dim = psi_dim(tensor(module, pullback(p, twist)), p)
         if dim <= 0:
             raise FalsificationError(
-                f"claimed nearby slope {r} (p={p}) has no working witness")
+                f"claimed nearby slope {r} (p={p}) has no working witness; "
+                f"{_replay(module, p)}")
         members.append(WitnessRecord(r, twist, dim))
 
     nonmembers = []
@@ -605,7 +618,8 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
             if dim != 0:
                 raise FalsificationError(
                     f"slope {r} was predicted absent (p={p}) but twist "
-                    f"{twist} gives nearby-cycle dimension {dim}")
+                    f"{_expr(twist)} gives nearby-cycle dimension "
+                    f"{dim}; {_replay(module, p)}")
             checked += 1
         nonmembers.append(ExhaustionRecord(r, checked))
     return NearbyCertificate(p, ram_bound, ord_bound,

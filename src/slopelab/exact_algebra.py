@@ -101,51 +101,6 @@ def _zeta_power_coords(order: int, e: int) -> tuple[Fraction, ...]:
     return _reduce_mod_cyclotomic(coeffs, order)
 
 
-def _solve_columns(cols: Sequence[Sequence[Fraction]],
-                   rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    # Solve sum_j x_j * cols[j] = rhs exactly; None when inconsistent.
-    m, n = len(rhs), len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pr = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    if len(pivots) < n:
-        return None
-    sol = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        sol[c] = aug[r][n]
-    return sol
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(order: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    # Power basis of Q(zeta_d) embedded into the order-`order` field.
-    step = order // d
-    return tuple(_zeta_power_coords(order, j * step) for j in range(euler_phi(d)))
-
-
-@lru_cache(maxsize=None)
-def _fix_subgroup(order: int, d: int) -> tuple[int, ...]:
-    # Units k of Z/order with k = 1 mod d; their sigma_k fix Q(zeta_d) pointwise.
-    return tuple(k for k in range(2, order)
-                 if gcd(k, order) == 1 and k % d == 1)
-
-
 def _map_powers(order: int, coords: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
     # Coords in the order-`order` field of sum_i coords[i] * zeta_order**(i*k).
     # With k = order/d this embeds an element of Q(zeta_d); with k a unit mod
@@ -164,7 +119,28 @@ def _map_powers(order: int, coords: Sequence[Fraction], k: int) -> tuple[Fractio
 
 
 def _demote(order: int, coords: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    # Smallest d | order with the element inside Q(zeta_d), plus its coords there.
+    """Smallest d | order with the element inside Q(zeta_d), plus its coords
+    there in the power basis of zeta_d = zeta_order**(order/d).
+
+    The search descends one prime at a time, from Q(zeta_n) to Q(zeta_{n/p})
+    with zeta_{n/p} = zeta_n**p, for as long as the element allows:
+
+    * p**2 | n: Phi_n(x) = Phi_{n/p}(x**p), so the element lies in
+      Q(zeta_{n/p}) iff every coordinate at an index prime to p is zero,
+      and its coordinates there are coords[::p].
+    * n = p*m with p prime to m: zeta_n**i = zeta_p**a * zeta_m**b with
+      a = i/m mod p and b = i/p mod m.  Sorting the coordinates by a gives
+      y_0 .. y_{p-1} in Q[zeta_m], and the element is
+      sum_{a < p-1} (y_a - y_{p-1}) * zeta_p**a, where 1 .. zeta_p**(p-2)
+      is a basis over Q(zeta_m).  So it lies in Q(zeta_m) iff every
+      y_a - y_{p-1} with a >= 1 vanishes modulo Phi_m, and its coordinates
+      there are y_0 - y_{p-1} reduced modulo Phi_m.  For p = 2 this always
+      succeeds, so the result is never 2 (mod 4).
+
+    One pass over the primes reaches the least field: Q(zeta_a) and Q(zeta_b)
+    meet in Q(zeta_gcd(a, b)), so a prime that cannot descend at n cannot
+    descend at any divisor of n either.
+    """
     if order == 1:
         return 1, coords
     if all(c == 0 for c in coords[1:]):
@@ -174,16 +150,25 @@ def _demote(order: int, coords: tuple[Fraction, ...]) -> tuple[int, tuple[Fracti
 
 @lru_cache(maxsize=262144)
 def _demote_cached(order: int, coords: tuple[Fraction, ...]):
-    for d in divisors(order)[:-1]:
-        if d == 1:
-            continue  # rational values are caught by the fast path
-        if any(_map_powers(order, coords, k) != coords
-               for k in _fix_subgroup(order, d)):
-            continue
-        sol = _solve_columns(_subfield_basis(order, d), coords)
-        if sol is None:
-            raise AssertionError("Galois-fixed element not in its fixed field")
-        return d, tuple(sol)
+    for p in [d for d in divisors(order) if euler_phi(d) == d - 1]:
+        while order % p == 0:
+            m = order // p
+            if m % p == 0:
+                if any(c for i, c in enumerate(coords) if i % p):
+                    break
+                coords = coords[::p]
+            else:
+                m_inv, p_inv = pow(m, -1, p), pow(p, -1, m)
+                y = [[Fraction(0)] * m for _ in range(p)]
+                for i, c in enumerate(coords):
+                    if c:
+                        y[i * m_inv % p][i * p_inv % m] += c
+                diffs = [_reduce_mod_cyclotomic([s - t for s, t in zip(ya, y[-1])], m)
+                         for ya in y[:-1]]
+                if any(any(diff) for diff in diffs[1:]):
+                    break
+                coords = diffs[0]
+            order = m
     return order, coords
 
 

@@ -158,10 +158,23 @@ class PushNode(ModuleExpr):
 # Parser.
 # ---------------------------------------------------------------------------
 
+# Parentheses may be open at most this deep at once, counting module
+# grouping, operation calls and parenthesised phi alike.  Each level costs the
+# recursive-descent parser two or three Python frames, so deeper input would
+# overflow the interpreter's stack instead of getting a diagnostic.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        depth = 0
+        for tok in self.tokens:
+            if tok.kind == "SYMBOL" and tok.text in "()":
+                depth += 1 if tok.text == "(" else -1
+                if depth > MAX_NESTING:
+                    self.error(f"parentheses nested deeper than {MAX_NESTING}", tok)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]

@@ -233,7 +233,10 @@ def _parse_rat(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise ScriptError(f"expected an exact rational string, got {text!r}")
 
 

@@ -1,9 +1,11 @@
 """Seeded random corpora: formal modules, good models, blow-up chains,
 expressions.
 
-Both the CLI selftest harness and the acceptance test suite draw from these
-generators, so the two always exercise identical, reproducible inputs for a
-given seed.
+The CLI selftest harness and the acceptance test suite both draw from these
+generators, each with its own seeds and sizes: selftest derives one stream
+per suite from its --seed, while acceptance uses seed 20124 and its own
+corpus sizes.  So a seed reproduces each harness's inputs, but the two
+harnesses do not share them.
 """
 
 from __future__ import annotations

@@ -139,6 +139,41 @@ def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, factors, words):
     assert_clean_error(code, err, *words)
 
 
+def test_bound_zero_denominator_exits_1(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text(json.dumps(
+        {"dim": 2, "factors": [{"pole": [1, 0], "twist": ["1/0", "0"]}]}))
+    code, out, err = run(capsys, "bound", "-m", str(model), "-f", "x1")
+    assert_clean_error(code, err, "factor 0", "zero denominator")
+    assert out == ""
+
+
+def test_blowup_zero_denominator_exits_1(tmp_path, capsys):
+    script = tmp_path / "s.blowup"
+    script.write_text(json.dumps(dict(_SCRIPT, S={"r": ["1/0", 1]}, steps=[])))
+    code, out, err = run(capsys, "blowup", "-s", str(script))
+    assert_clean_error(code, err, "malformed script", "zero denominator")
+    assert out == ""
+
+
+def _nested(depth, form):
+    # An expression whose deepest point has `depth` parentheses open.
+    if form == "module":
+        return "(" * (depth - 1) + "Reg(rank=1)" + ")" * (depth - 1)
+    return "El(1, " + "(" * (depth - 1) + "u^-1" + ")" * (depth - 1) + ", rank=1)"
+
+
+@pytest.mark.parametrize("form", ["module", "phi"])
+def test_nesting_limit(capsys, form):
+    code, out, err = run(capsys, "slopes", "-e", _nested(200, form))
+    assert code == 0 and err == ""
+    assert ("slopes: 1:1" if form == "phi" else "rank: 1") in out
+    for depth in (201, 5000):
+        code, out, err = run(capsys, "slopes", "-e", _nested(depth, form))
+        assert_clean_error(code, err, "nested deeper than 200", "line 1, column")
+        assert out == ""
+
+
 @pytest.mark.parametrize("argv", [("bound", "-m", "{dir}", "-f", "x1"),
                                   ("blowup", "-s", "{dir}")])
 def test_directory_path_exits_1(tmp_path, capsys, argv):

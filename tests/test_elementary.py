@@ -1,6 +1,7 @@
 """Tests for the one-variable elementary-module calculus."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -26,7 +27,9 @@ from slopelab.elementary import (
     witness_twist,
 )
 from slopelab.elementary import _galois_canonical, _pair_regular_rank, _tensor_pair
+from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
+from slopelab.expr import parse_and_eval
 from slopelab.randomgen import random_formal_module
 
 F = Fraction
@@ -268,6 +271,38 @@ def test_nearby_slopes_examples():
         assert nearby_slopes(regular_module(1), k) == {F(0)}
     # Ramified source, ramified twist: slope 3/2 seen along x^2 is 3/4.
     assert nearby_slopes(elementary(2, {-3: 1}), 2) == {F(3, 4)}
+
+
+# The module itself: `slopelab.elementary` also names a function re-exported by
+# the package, so attribute access would find that instead.
+_ELEMENTARY = sys.modules["slopelab.elementary"]
+
+
+def _replayable(message, module, p):
+    # The message names the module as expression text and the replay command.
+    assert "ElementaryModule(" not in message and "FormalModule(" not in message
+    text = message.split("module: ")[1].split(";")[0]
+    assert parse_and_eval(text) == module
+    assert f"replay: slopelab nearby -e '{text}' -p {p} --cert" in message
+
+
+def test_falsified_witness_names_the_module_and_replay(monkeypatch):
+    monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", lambda *_: 0)
+    m = elementary(2, {-3: CycloRat.zeta(3), -1: 1}) + regular_module(1)
+    with pytest.raises(FalsificationError) as info:
+        nearby_slopes(m, 3)
+    _replayable(str(info.value), m, 3)
+
+
+def test_falsified_exhaustion_names_the_twist_and_replay(monkeypatch):
+    monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", lambda *_: 1)
+    m = elementary(1, {-2: CycloRat.zeta(4)})
+    with pytest.raises(FalsificationError) as info:
+        certify_nearby_slopes(m, 2, ram_bound=2, ord_bound=2)
+    message = str(info.value)
+    _replayable(message, m, 2)
+    twist = message.split("but twist ")[1].split(" gives")[0]
+    assert not parse_and_eval(twist).is_zero
 
 
 def test_witness_twist_examples():

@@ -3,6 +3,7 @@ multi-indices."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -114,7 +115,7 @@ def test_canonical_form_across_construction_routes():
 
 def test_closed_form_roots_match_the_demotion_route():
     # The general constructor reduces the dense x^e modulo Phi_n and demotes
-    # it by Gaussian elimination; it is the oracle for the closed form.
+    # it prime by prime; it is the oracle for the closed form.
     for n in list(range(1, 49)) + [60, 64, 70, 72, 84, 90]:
         for e in range(n):
             fast = CycloRat.zeta(n, e)
@@ -128,6 +129,29 @@ def test_roots_of_unity_never_demote():
     for e in range(600):
         CycloRat.zeta(600, e)
     assert exact_algebra._demote_cached.cache_info().misses == 0
+
+
+def test_demotion_finds_the_least_field_by_galois_action():
+    # Oracle: sigma_k fixes Q(zeta_e) inside Q(zeta_n) exactly when
+    # k = 1 (mod e).  So d' is the least field iff, for each prime q | d',
+    # some such sigma_k with e = d'/q moves x.  Inputs are embedded from
+    # every subfield Q(zeta_d), so every possible answer is reached.
+    rng = random.Random(4)
+    for n in range(2, 121):
+        units = [k for k in range(1, n) if gcd(k, n) == 1]
+        for d in divisors(n):
+            for _ in range(2):
+                y = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(euler_phi(d)))
+                x = exact_algebra._map_powers(n, y, n // d)
+                dd, c = exact_algebra._demote(n, x)
+                assert n % dd == 0 and dd % 4 != 2, (n, d, y)
+                assert len(c) == euler_phi(dd), (n, d, y)
+                assert exact_algebra._map_powers(n, c, n // dd) == x, (n, d, y)
+                primes = [q for q in divisors(dd) if euler_phi(q) == q - 1]
+                for q in primes:
+                    assert any(exact_algebra._map_powers(n, x, k) != x
+                               for k in units if (k - 1) % (dd // q) == 0), (n, d, y, q)
 
 
 def test_rational_embedding_and_arithmetic():
