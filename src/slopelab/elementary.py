@@ -11,7 +11,7 @@ slopes together with its witness/exhaustion certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -23,6 +23,27 @@ from slopelab.exact_algebra import CycloRat, RamifiedExponent, _zeta_pow
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
 DEFAULT_ORD_BOUND = 24
+
+
+# ---------------------------------------------------------------------------
+# Hash-once canonical values.
+# ---------------------------------------------------------------------------
+
+def _hash_once(self) -> int:
+    # The frozen-dataclass hash of the field tuple, computed on the first
+    # call and kept on the instance: these values are cache keys and are
+    # hashed again on every lookup.
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(_reduce_fields(self)[1])
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _reduce_fields(self):
+    # Pickle and copy through the constructor, without the cached hash.
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +66,9 @@ class RegularPart:
     """
 
     exps: tuple[tuple[Fraction, int], ...]
+
+    __hash__ = _hash_once
+    __reduce__ = _reduce_fields
 
     def __init__(self, exps: Iterable[tuple[Fraction, int]] | Mapping[Fraction, int] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
@@ -121,6 +145,9 @@ class ElementaryModule:
     ram: int
     phi: RamifiedExponent
     reg: RegularPart
+
+    __hash__ = _hash_once
+    __reduce__ = _reduce_fields
 
     @property
     def rank(self) -> int:
@@ -216,6 +243,9 @@ class FormalModule:
     """
 
     factors: tuple[ElementaryModule, ...]
+
+    __hash__ = _hash_once
+    __reduce__ = _reduce_fields
 
     @staticmethod
     def of(parts: Iterable[Optional[ElementaryModule]]) -> "FormalModule":
@@ -401,9 +431,8 @@ def _pair_regular_rank(a: ElementaryModule, b: ElementaryModule) -> int:
     # Regular rank of the elementary-pair tensor, by exact cancellation
     # detection only: a conjugate summand is regular iff its exponent sum
     # vanishes identically, in which case it contributes lcm * rkA * rkB.
-    # Different slopes can never cancel; only equal-slope pairs may.
-    if a.slope != b.slope:
-        return 0
+    # A pair of unequal slopes gives 0 here too; psi_dim_twisted skips such
+    # pairs before the lookup.
     cancelling = sum(1 for terms in _conjugate_sums(a, b)
                      if all(c.is_zero for c in terms.values()))
     lcm = a.ram * b.ram // gcd(a.ram, b.ram)
@@ -421,11 +450,20 @@ def psi_dim_twisted(module: FormalModule, twist: FormalModule, p: int) -> int:
     if p < 1:
         raise ValueError(f"nearby cycles need p >= 1, got {p}")
     total = 0
+    factors = [(a, a.phi.pole_order, a.ram) for a in module.factors]
     for b0 in twist.factors:
         pulled = _pullback_factor(p, b0) if p > 1 else (b0,)
         for b in pulled:
-            for a in module.factors:
-                total += _pair_regular_rank(a, b)
+            nb, rb = b.phi.pole_order, b.ram
+            for a, na, ra in factors:
+                # Only equal slopes na/ra = nb/rb can cancel.  On the common
+                # cover of degree L the two exponents have pole orders
+                # na*L/ra and nb*L/rb; when these differ, the deeper pole
+                # survives in every conjugate sum and the pair adds 0.  The
+                # test runs before the lookup, so only equal-slope pairs
+                # reach the pair cache.
+                if na * rb == nb * ra:
+                    total += _pair_regular_rank(a, b)
     return p * total
 
 

@@ -224,10 +224,12 @@ class CycloRat:
     element in the power basis of a primitive order-th root of unity, reduced
     modulo the cyclotomic polynomial.  Values are always demoted to the
     smallest cyclotomic subfield containing them, so equality, hashing and
-    the total sort order are structural.  Instances are immutable.
+    the total sort order are structural.  Instances are immutable, so the
+    hash is computed on the first call and kept in a slot: values serve as
+    cache keys and are hashed again on every lookup.
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "coords", "_hash")
 
     def __init__(self, order: int, coords: Iterable[Fraction | int], *,
                  _canonical: bool = False):
@@ -246,6 +248,10 @@ class CycloRat:
 
     def __setattr__(self, *_):
         raise AttributeError("CycloRat is immutable")
+
+    def __reduce__(self):
+        # Rebuild through the normalizing constructor; the hash is not carried.
+        return CycloRat, (self.order, self.coords)
 
     # -- constructors -------------------------------------------------------
 
@@ -410,7 +416,12 @@ class CycloRat:
         return self.order == other.order and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.order, self.coords))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.order, self.coords))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- rendering -------------------------------------------------------------
 
@@ -482,9 +493,10 @@ class RamifiedExponent:
     exponential twist depends only on the polar part.  The pair
     (ram, exponent set) is reduced by d = gcd(ram, gcd of pole orders) so
     that canonical forms are unique; the zero tail is stored with ram = 1.
+    Like `CycloRat`, instances are immutable and compute their hash once.
     """
 
-    __slots__ = ("ram", "terms")
+    __slots__ = ("ram", "terms", "_hash")
 
     def __init__(self, ram: int, terms: Mapping[int, CycloRat] | Iterable[tuple[int, CycloRat]]):
         if ram < 1:
@@ -516,6 +528,9 @@ class RamifiedExponent:
 
     def __setattr__(self, *_):
         raise AttributeError("RamifiedExponent is immutable")
+
+    def __reduce__(self):
+        return RamifiedExponent, (self.ram, self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -555,7 +570,12 @@ class RamifiedExponent:
         return self.ram == other.ram and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ram, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ram, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         if self.is_zero:

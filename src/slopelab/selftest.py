@@ -72,9 +72,14 @@ class SuiteResult:
         return not self.failures
 
 
-def _record(result: SuiteResult, condition: bool, message: str):
+def _record(result: SuiteResult, condition: bool, case: int, what: str,
+            *modules: FormalModule):
+    # A failure names its case and, in the module suites, the inputs as
+    # expression text; run_selftest adds the suite, the seed and the replay
+    # command.  The text is rendered only on failure.
     if not condition and len(result.failures) < 10:
-        result.failures.append(message)
+        inputs = "".join(f"; module: {module_to_expr(m)}" for m in modules)
+        result.failures.append(f"case {case}: {what}{inputs}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +98,11 @@ def suite_cyclotomic_field(rng: random.Random, cases: int) -> SuiteResult:
 
     for i in range(cases):
         a, b, c = rand_value(), rand_value(), rand_value()
-        _record(res, (a + b) + c == a + (b + c), f"assoc + case {i}")
-        _record(res, (a * b) * c == a * (b * c), f"assoc * case {i}")
-        _record(res, a * (b + c) == a * b + a * c, f"distributivity case {i}")
+        _record(res, (a + b) + c == a + (b + c), i, "assoc +")
+        _record(res, (a * b) * c == a * (b * c), i, "assoc *")
+        _record(res, a * (b + c) == a * b + a * c, i, "distributivity")
         if not a.is_zero:
-            _record(res, a * a.inverse() == 1, f"inverse case {i}")
+            _record(res, a * a.inverse() == 1, i, "inverse")
     return res
 
 
@@ -108,16 +113,16 @@ def suite_exponent_substitution(rng: random.Random, cases: int) -> SuiteResult:
         keys = rng.sample(range(1, 9), rng.randint(1, 3))
         phi = RamifiedExponent(ram, {-k: F(rng.randint(1, 3)) for k in keys})
         s, t = rng.randint(1, 3), rng.randint(1, 3)
-        _record(res, phi.substitute_root(1, 0) == phi, f"identity {i}")
+        _record(res, phi.substitute_root(1, 0) == phi, i, "identity")
         lhs = phi.substitute_root(1, 0, s).substitute_root(1, 0, t)
-        _record(res, lhs == phi.substitute_root(1, 0, s * t),
-                f"scale multiplicativity {i}")
+        _record(res, lhs == phi.substitute_root(1, 0, s * t), i,
+                "scale multiplicativity")
         out = phi.substitute_root(rng.choice((1, 2, 3, 4)), 1, s)
         _record(res, F(out.pole_order, out.ram) == s * F(phi.pole_order, phi.ram),
-                f"pole-order scaling {i}")
+                i, "pole-order scaling")
         if phi.ram == 1:
-            _record(res, out.pole_order == s * phi.pole_order,
-                    f"unramified pole-order scaling {i}")
+            _record(res, out.pole_order == s * phi.pole_order, i,
+                    "unramified pole-order scaling")
     return res
 
 
@@ -125,11 +130,11 @@ def suite_dual(rng: random.Random, cases: int) -> SuiteResult:
     res = SuiteResult("duality", cases)
     for i in range(cases):
         m = random_formal_module(rng)
-        _record(res, dual(dual(m)) == m, f"involution {i}")
-        _record(res, slopes(dual(m)) == slopes(m), f"slope preservation {i}")
+        _record(res, dual(dual(m)) == m, i, "involution", m)
+        _record(res, slopes(dual(m)) == slopes(m), i, "slope preservation", m)
         p = rng.randint(1, 6)
-        _record(res, nearby_slopes(dual(m), p) == nearby_slopes(m, p),
-                f"nearby-slope invariance {i} (p={p})")
+        _record(res, nearby_slopes(dual(m), p) == nearby_slopes(m, p), i,
+                f"nearby-slope invariance (p={p})", m)
     return res
 
 
@@ -139,14 +144,14 @@ def suite_pullback_pushforward(rng: random.Random, cases: int) -> SuiteResult:
         m = random_formal_module(rng)
         q = rng.randint(1, 6)
         pb = pullback(q, m)
-        _record(res, pb.rank == m.rank, f"pullback rank {i}")
+        _record(res, pb.rank == m.rank, i, f"pullback rank (q={q})", m)
         _record(res, slopes(pb) == {q * s: k for s, k in slopes(m).items()},
-                f"pullback slopes {i}")
+                i, f"pullback slopes (q={q})", m)
         p = rng.randint(1, 6)
         pf = pushforward(p, m)
-        _record(res, pf.rank == p * m.rank, f"pushforward rank {i}")
+        _record(res, pf.rank == p * m.rank, i, f"pushforward rank (p={p})", m)
         _record(res, slopes(pf) == {s / p: p * k for s, k in slopes(m).items()},
-                f"pushforward slopes {i}")
+                i, f"pushforward slopes (p={p})", m)
     return res
 
 
@@ -158,7 +163,7 @@ def suite_pushforward_nearby(rng: random.Random, cases: int) -> SuiteResult:
         p = rng.randint(1, 6)
         lhs = nearby_slopes(pushforward(p, m), 1)
         rhs = nearby_slopes(m, p)
-        _record(res, lhs <= rhs, f"inclusion {i} (p={p})")
+        _record(res, lhs <= rhs, i, f"inclusion (p={p})", m)
         if lhs == rhs:
             equalities += 1
     res.notes["observed_equalities"] = equalities
@@ -172,19 +177,19 @@ def suite_tensor(rng: random.Random, cases: int) -> SuiteResult:
         a = random_formal_module(rng, max_factors=2, max_ram=4, max_ord=6)
         b = random_formal_module(rng, max_factors=2, max_ram=4, max_ord=6)
         c = random_formal_module(rng, max_factors=1, max_ram=3, max_ord=4)
-        _record(res, tensor(a, unit) == a, f"unit {i}")
-        _record(res, tensor(a, b) == tensor(b, a), f"commutativity {i}")
+        _record(res, tensor(a, unit) == a, i, "unit", a)
+        _record(res, tensor(a, b) == tensor(b, a), i, "commutativity", a, b)
         _record(res, tensor(tensor(a, b), c) == tensor(a, tensor(b, c)),
-                f"associativity {i}")
-        _record(res, tensor(a, b).rank == a.rank * b.rank, f"rank {i}")
+                i, "associativity", a, b, c)
+        _record(res, tensor(a, b).rank == a.rank * b.rank, i, "rank", a, b)
         q = rng.randint(1, 6)
         _record(res, pullback(q, tensor(a, b))
                 == tensor(pullback(q, a), pullback(q, b)),
-                f"pullback monoidality {i}")
+                i, f"pullback monoidality (q={q})", a, b)
         p = rng.randint(1, 4)
         _record(res, tensor(pushforward(p, a), b)
                 == pushforward(p, tensor(a, pullback(p, b))),
-                f"projection formula {i}")
+                i, f"projection formula (p={p})", a, b)
     return res
 
 
@@ -194,25 +199,25 @@ def suite_nearby_cycles(rng: random.Random, cases: int) -> SuiteResult:
         m = random_formal_module(rng)
         k = rng.randint(1, 6)
         if all(s > 0 for s in slopes(m)):
-            _record(res, psi_dim(m, k) == 0, f"vanishing above slope 0, case {i}")
-        _record(res, psi_dim(m, k) == regular_rank(pushforward(k, m)),
-                f"pushforward consistency {i}")
+            _record(res, psi_dim(m, k) == 0, i, f"vanishing above slope 0 (k={k})", m)
+        _record(res, psi_dim(m, k) == regular_rank(pushforward(k, m)), i,
+                f"pushforward consistency (k={k})", m)
         p = rng.randint(1, 4)
         for s in slopes(m):
             if s > 0:
                 twist = witness_twist(m, s, p)
                 _record(res, psi_dim(tensor(m, pullback(p, twist)), p) > 0,
-                        f"witness positivity {i} (slope {s}, p={p})")
+                        i, f"witness positivity (slope {s}, p={p})", m)
         if i % 8 == 0:
             # Small-bound certificate: both directions of the nearby-slope
             # equivalence on a reduced twist grid.
             try:
                 cert = certify_nearby_slopes(m, 1, ram_bound=4, ord_bound=6)
             except FalsificationError as exc:
-                _record(res, False, f"certificate {i}: {exc}")
+                _record(res, False, i, f"certificate: {exc}")
             else:
-                _record(res, cert.slopes == nearby_slopes(m, 1),
-                        f"certificate slopes {i}")
+                _record(res, cert.slopes == nearby_slopes(m, 1), i,
+                        "certificate slopes", m)
     return res
 
 
@@ -222,11 +227,11 @@ def suite_regularity(rng: random.Random, cases: int) -> SuiteResult:
         m = random_formal_module(rng)
         reg = is_regular(m)
         max_slope = max(slopes(m), default=F(0))
-        _record(res, reg == (max_slope == 0), f"max-slope form {i}")
+        _record(res, reg == (max_slope == 0), i, "max-slope form", m)
         for p in range(1, 7):
-            _record(res, reg == (nearby_slopes(m, p) <= {F(0)}),
-                    f"nearby form {i} (p={p})")
-        _record(res, irregularity(m) >= 0, f"irregularity sign {i}")
+            _record(res, reg == (nearby_slopes(m, p) <= {F(0)}), i,
+                    f"nearby form (p={p})", m)
+        _record(res, irregularity(m) >= 0, i, "irregularity sign", m)
     return res
 
 
@@ -237,7 +242,7 @@ def suite_newton_polygon(rng: random.Random, cases: int) -> SuiteResult:
         c = F(rng.randint(-4, 4), rng.randint(1, 4))
         op = sorted(exp_twist_operator(m, c).items())
         _record(res, slopes_from_operator(op) == slopes(elementary(1, {-m: 1})),
-                f"rank-1 twist m={m}")
+                i, f"rank-1 twist m={m}")
         pieces = [exp_twist_operator(rng.randint(1, 6)) if rng.random() < 0.7
                   else euler_operator(F(rng.randint(0, 3)))
                   for _ in range(rng.randint(2, 3))]
@@ -250,7 +255,7 @@ def suite_newton_polygon(rng: random.Random, cases: int) -> SuiteResult:
         for piece in pieces[1:]:
             product = compose_operators(product, piece)
         _record(res, slopes_from_operator(sorted(product.items())) == slopes(expected),
-                f"composite fixture {i}")
+                i, "composite fixture", expected)
     return res
 
 
@@ -261,28 +266,28 @@ def suite_monomial_models(rng: random.Random, cases: int) -> SuiteResult:
         div = highest_generic_slopes(model)
         for f in model.factors:
             _record(res, all(div[j] >= f.pole[j] for j in range(model.dim)),
-                    f"divisor dominates factors {i}")
+                    i, "divisor dominates factors")
         extra = random_good_model(rng)
         if extra.dim == model.dim:
             grown = highest_generic_slopes(
                 GoodModel(model.dim, model.factors + extra.factors))
             _record(res, all(grown[j] >= div[j] for j in range(model.dim)),
-                    f"monotonicity {i}")
+                    i, "monotonicity")
         a_entries = [rng.randint(0, 4) for _ in range(model.dim)]
         if not any(a_entries):
             a_entries[rng.randrange(model.dim)] = rng.randint(1, 4)
         f = MonomialFunction(a_entries)
         thr = vanishing_threshold(model, f)
-        _record(res, thr.value <= nearby_slope_bound(model),
-                f"threshold below bound {i}")
+        _record(res, thr.value <= nearby_slope_bound(model), i,
+                "threshold below bound")
         if model.is_regular:
-            _record(res, thr.value == 0, f"regular threshold {i}")
+            _record(res, thr.value == 0, i, "regular threshold")
         support = model.pole_support
         if support:
             a2 = MonomialFunction([rng.randint(1, 4) if j in support else 0
                                    for j in range(model.dim)])
             thr2 = vanishing_threshold(model, a2)
-            _record(res, thr2.criterion_applicable, f"applicability {i}")
+            _record(res, thr2.criterion_applicable, i, "applicability")
             curve = MultiIndex([rng.randint(1, 3) for _ in range(model.dim)])
             # Raw mediant inequality, exact: <b,c>/<a,c> <= max b_i/a_i.
             a_vec = a2.exponents
@@ -291,11 +296,11 @@ def suite_monomial_models(rng: random.Random, cases: int) -> SuiteResult:
                 den = a_vec.dot(curve.entries)
                 cap = max((F(fac.pole[j], a_vec[j]) for j in a_vec.support),
                           default=F(0))
-                _record(res, F(num, den) <= cap or num == 0,
-                        f"mediant {i}")
+                _record(res, F(num, den) <= cap or num == 0, i, "mediant")
             restricted, k = curve_restriction(model, curve, a2)
             for s in nearby_slopes(restricted, k):
-                _record(res, s <= thr2.value, f"restricted slope bound {i}")
+                _record(res, s <= thr2.value, i, "restricted slope bound",
+                        restricted)
         # Whenever a sufficient vanishing criterion fires, the twisted factor
         # has positive slope along every admissible curve.
         dim = model.dim
@@ -308,10 +313,10 @@ def suite_monomial_models(rng: random.Random, cases: int) -> SuiteResult:
                 model3 = GoodModel(dim, [ModelFactor(combined)])
                 curve3 = MultiIndex([rng.randint(1, 3) for _ in range(dim)])
                 restricted3, k3 = curve_restriction(model3, curve3, f3)
-                _record(res, all(s > 0 for s in slopes(restricted3)),
-                        f"lemma cross-oracle {i}")
-                _record(res, psi_dim(restricted3, k3) == 0,
-                        f"lemma cross-oracle psi {i}")
+                _record(res, all(s > 0 for s in slopes(restricted3)), i,
+                        "lemma cross-oracle", restricted3)
+                _record(res, psi_dim(restricted3, k3) == 0, i,
+                        f"lemma cross-oracle psi (k={k3})", restricted3)
     return res
 
 
@@ -321,16 +326,16 @@ def suite_blowup(rng: random.Random, cases: int) -> SuiteResult:
         try:
             state = random_chain(rng)
         except (FalsificationError, SlopelabError) as exc:
-            _record(res, False, f"chain {i}: {exc}")
+            _record(res, False, i, f"chain: {exc}")
             continue
         report = blowup.verify_inequality(state)
-        _record(res, report.ok,
-                f"chain {i}: inequality violated at {report.violations}")
+        _record(res, report.ok, i,
+                f"chain: inequality violated at {report.violations}")
         if state.mode == "toric":
             for comp in state.components:
                 pair_z = sum(x * a for x, a in zip(comp.ray, state.z_vector))
-                _record(res, comp.vZ == pair_z,
-                        f"chain {i}: valuation linearity ({comp.id})")
+                _record(res, comp.vZ == pair_z, i,
+                        f"chain: valuation linearity ({comp.id})")
     return res
 
 
@@ -339,10 +344,10 @@ def suite_expression_round_trip(rng: random.Random, cases: int) -> SuiteResult:
     for i in range(cases):
         m = random_formal_module(rng, allow_zero=True)
         text = module_to_expr(m)
-        _record(res, parse_and_eval(text) == m, f"value round trip {i}")
+        _record(res, parse_and_eval(text) == m, i, "value round trip", m)
         ast = parse_module(text)
         _record(res, print_ast(parse_module(print_ast(ast))) == print_ast(ast),
-                f"print/parse/print {i}")
+                i, "print/parse/print", m)
     return res
 
 
@@ -364,9 +369,17 @@ ALL_SUITES = (
 
 def run_selftest(seed: int = randomgen.DEFAULT_SEED,
                  cases: int = 40) -> list[SuiteResult]:
-    """Run every suite on seed-derived corpora; deterministic for a seed."""
+    """Run every suite on seed-derived corpora; deterministic for a seed.
+
+    Each failure message names its suite, seed and case and ends with the
+    command that reruns it.
+    """
     results = []
+    replay = f"replay: slopelab selftest --seed {seed} --cases {cases}"
     for index, suite in enumerate(ALL_SUITES):
         rng = random.Random(seed * 1000003 + index)
-        results.append(suite(rng, cases))
+        res = suite(rng, cases)
+        res.failures = [f"{res.name}: seed {seed}, {failure}; {replay}"
+                        for failure in res.failures]
+        results.append(res)
     return results

@@ -1,10 +1,15 @@
 """CLI tests: subcommands, exit codes, JSON schema, determinism."""
 
 import json
+import random
+import sys
 
 import pytest
 
 from slopelab.cli import main
+from slopelab.elementary import regular_module
+from slopelab.expr import parse_and_eval
+from slopelab.randomgen import random_formal_module
 
 
 def run(capsys, *argv):
@@ -211,6 +216,22 @@ def test_selftest_env_seed(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--cases", "3")
     assert code == 0
     assert "seed 99" in out
+
+
+def test_selftest_failure_is_replayable(capsys, monkeypatch):
+    # A "dual" that adds a summand breaks the involution on every case.
+    selftest = sys.modules["slopelab.selftest"]
+    monkeypatch.setattr(selftest, "dual", lambda m: m + regular_module(1))
+    code, out, err = run(capsys, "selftest", "--cases", "3", "--seed", "7")
+    assert code == 2 and "FALSIFICATION" in err
+    line = next(s for s in out.splitlines() if "involution" in s).strip()
+    assert line.startswith("duality: seed 7, case 0: involution; module: ")
+    assert line.endswith("; replay: slopelab selftest --seed 7 --cases 3")
+    # The module text is case 0's input, drawn from the duality suite's rng.
+    index = selftest.ALL_SUITES.index(selftest.suite_dual)
+    text = line.split("module: ")[1].split(";")[0]
+    assert parse_and_eval(text) == random_formal_module(
+        random.Random(7 * 1000003 + index))
 
 
 def test_selftest_json_deterministic(capsys):

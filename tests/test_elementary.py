@@ -1,5 +1,8 @@
 """Tests for the one-variable elementary-module calculus."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +11,7 @@ from math import gcd
 import pytest
 
 from slopelab.elementary import (
+    ElementaryModule,
     FormalModule,
     RegularPart,
     certify_nearby_slopes,
@@ -26,10 +30,15 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _galois_canonical, _pair_regular_rank, _tensor_pair
+from slopelab.elementary import (
+    _galois_canonical,
+    _pair_regular_rank,
+    _pullback_factor,
+    _tensor_pair,
+)
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
-from slopelab.expr import parse_and_eval
+from slopelab.expr import module_to_expr, parse_and_eval
 from slopelab.randomgen import random_formal_module
 
 F = Fraction
@@ -422,3 +431,103 @@ def test_pair_regular_rank_matches_the_canonical_tensor():
         assert fast == regular_rank(FormalModule.of(_tensor_pair(a, b))), (a, b)
         cancelling += fast > 0
     assert cancelling >= 20
+
+
+def test_slope_mismatched_pairs_never_reach_the_pair_cache(monkeypatch):
+    # Count the pairs psi_dim_twisted visits by replaying its loop; the pair
+    # cache must be asked about exactly the equal-slope ones.
+    visited = {"all": 0, "equal": 0}
+    original = _ELEMENTARY.psi_dim_twisted
+
+    def counting(module, twist, p):
+        for b0 in twist.factors:
+            for b in (_pullback_factor(p, b0) if p > 1 else (b0,)):
+                for a in module.factors:
+                    visited["all"] += 1
+                    visited["equal"] += a.slope == b.slope
+        return original(module, twist, p)
+
+    def lookups():
+        info = _pair_regular_rank.cache_info()
+        return info.hits + info.misses
+
+    monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", counting)
+    rng = random.Random(47)
+    m = random_formal_module(rng)
+    while len(slopes(m)) < 3:
+        m = random_formal_module(rng)
+    _pair_regular_rank.cache_clear()
+    # The exhaustion checks only slopes the module lacks, so every pair
+    # it visits is slope-mismatched.
+    certify_nearby_slopes(m, 2)
+    assert visited["all"] > 0 and visited["equal"] == 0
+    assert lookups() == 0
+    # Each witness twist matches one slope of the module.
+    nearby_slopes(m, 2)
+    assert 0 < visited["equal"] < visited["all"]
+    assert lookups() == visited["equal"]
+
+
+# ---------------------------------------------------------------------------
+# Hash-once values: cached hashes, pickling and copies.
+# ---------------------------------------------------------------------------
+
+def _field_tuple(value):
+    if isinstance(value, CycloRat):
+        return (value.order, value.coords)
+    if isinstance(value, RamifiedExponent):
+        return (value.ram, value.terms)
+    return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+
+
+def _canonical_values(module):
+    # Every canonical value inside the module and the module itself, each
+    # object once, every value after the values it holds.
+    values = {}
+    for f in module.factors:
+        for v in (*(c for _, c in f.phi.terms), f.phi, f.reg, f):
+            values[id(v)] = v
+    values[id(module)] = module
+    return list(values.values())
+
+
+def test_cached_hashes_equal_the_field_tuple_hash():
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(40):
+        # A pickle round trip rebuilds every value without a cached hash.
+        m = pickle.loads(pickle.dumps(random_formal_module(rng)))
+        for v in _canonical_values(m):
+            kinds.add(type(v))
+            fresh = hash(_field_tuple(v))
+            assert not hasattr(v, "_hash")
+            assert hash(v) == fresh
+            assert hash(v) == hash(_field_tuple(v)) == fresh
+    assert kinds == {FormalModule, ElementaryModule, RegularPart,
+                     RamifiedExponent, CycloRat}
+
+
+def test_equal_values_built_by_different_routes_hash_equal():
+    for n in (3, 4, 6, 10, 12, 15, 18):
+        for e in range(n):
+            demoted = CycloRat(n, [0] * e + [1])
+            assert demoted == CycloRat.zeta(n, e)
+            assert hash(demoted) == hash(CycloRat.zeta(n, e))
+    rng = random.Random(44)
+    for _ in range(30):
+        m = random_formal_module(rng)
+        for other in (dual(dual(m)), parse_and_eval(module_to_expr(m))):
+            assert other == m and hash(other) == hash(m)
+
+
+def test_modules_and_certificates_survive_pickle_and_deepcopy():
+    rng = random.Random(45)
+    for i in range(6):
+        m = random_formal_module(rng)
+        cert = certify_nearby_slopes(m, 1 + i % 3)
+        for value in (m, cert, *_canonical_values(m)):
+            hash(value)
+            for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert clone == value and hash(clone) == hash(value)
+        for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert not any(hasattr(v, "_hash") for v in _canonical_values(clone))
