@@ -18,31 +18,16 @@ from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import CycloRat, RamifiedExponent, _zeta_pow
+from slopelab.exact_algebra import CycloRat, RamifiedExponent, _hash_once, _zeta_pow
 
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
 DEFAULT_ORD_BOUND = 24
 
 
-# ---------------------------------------------------------------------------
-# Hash-once canonical values.
-# ---------------------------------------------------------------------------
-
-def _hash_once(self) -> int:
-    # The frozen-dataclass hash of the field tuple, computed on the first
-    # call and kept on the instance: these values are cache keys and are
-    # hashed again on every lookup.
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash(_reduce_fields(self)[1])
-        object.__setattr__(self, "_hash", h)
-        return h
-
-
 def _reduce_fields(self):
-    # Pickle and copy through the constructor, without the cached hash.
+    # Pickle and copy through the constructor, without the cached hash; the
+    # same field tuple is what _hash_once hashes.
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -401,7 +386,6 @@ def _conjugate_sums(a: ElementaryModule, b: ElementaryModule):
         yield terms
 
 
-@lru_cache(maxsize=131072)
 def _tensor_pair(a: ElementaryModule, b: ElementaryModule) -> tuple:
     p, q = a.ram, b.ram
     g = gcd(p, q)
@@ -490,7 +474,8 @@ def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[F
     The set is {r/p : r a positive slope of the module}, plus 0 exactly when
     the regular part is nonzero.  With verify=True (the default) every
     member is confirmed through the twisted-vanishing equivalence: a witness
-    twist is constructed and its nearby-cycle dimension checked positive.
+    twist is constructed and its nearby-cycle dimension, read off by
+    psi_dim_twisted from cancellation counts, checked positive.
     """
     if p < 1:
         raise ValueError(f"nearby slopes need p >= 1, got {p}")
@@ -501,13 +486,8 @@ def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[F
     if regular_rank(module) > 0:
         out.add(Fraction(0))
     if verify:
-        for r in out:
-            twist = (regular_module(1) if r == 0
-                     else witness_twist(module, r * p, p))
-            if psi_dim_twisted(module, twist, p) <= 0:
-                raise FalsificationError(
-                    f"witness twist for nearby slope {r} (p={p}) has vanishing "
-                    f"nearby cycles; {_replay(module, p)}")
+        for _ in _witnesses(module, p, out):
+            pass
     return out
 
 
@@ -532,6 +512,19 @@ class WitnessRecord:
     slope: Fraction
     twist: FormalModule
     psi_dimension: int
+
+
+def _witnesses(module: FormalModule, p: int, claimed: Iterable[Fraction]):
+    # One WitnessRecord per claimed slope, in increasing order: the twist of
+    # witness_twist (the unit for slope 0), measured by psi_dim_twisted.
+    for r in sorted(claimed):
+        twist = regular_module(1) if r == 0 else witness_twist(module, r * p, p)
+        dim = psi_dim_twisted(module, twist, p)
+        if dim <= 0:
+            raise FalsificationError(
+                f"witness twist for nearby slope {r} (p={p}) has vanishing "
+                f"nearby cycles; {_replay(module, p)}")
+        yield WitnessRecord(r, twist, dim)
 
 
 @dataclass(frozen=True)
@@ -573,7 +566,7 @@ def candidate_slope_grid(ram_bound: int, ord_bound: int) -> set[Fraction]:
 @lru_cache(maxsize=4096)
 def _generic_twists(r: Fraction, ram_bound: int,
                     ord_bound: int) -> tuple[FormalModule, ...]:
-    # Module-independent part of the exhaustion family for slope r.
+    # The exhaustion family for slope r; it does not depend on the module.
     twists: list[FormalModule] = []
     seen: set = set()
 
@@ -599,29 +592,6 @@ def _generic_twists(r: Fraction, ram_bound: int,
     return tuple(twists)
 
 
-def _twist_templates(r: Fraction, module: FormalModule, p: int,
-                     ram_bound: int, ord_bound: int) -> list[FormalModule]:
-    """Finite family of elementary twists of slope r used by the exhaustion.
-
-    Cancellation against the module's factors forces a twist's exponent set
-    to match a scaled conjugate of a factor exponent exactly, so besides
-    generic monomial/binomial coefficients the family includes every
-    negated-factor-derived twist of the right slope.
-    """
-    twists = list(_generic_twists(r, ram_bound, ord_bound))
-    seen = {m.factors for m in twists}
-    # Derived candidates: these are the only twists that can cancel a factor.
-    for f in module.factors:
-        if f.slope > 0 and f.slope == r * p:
-            cand = witness_twist(FormalModule.of([f]), f.slope, p)
-            only = cand.factors[0]
-            if (only.ram <= ram_bound and only.phi.pole_order <= ord_bound
-                    and cand.factors not in seen):
-                seen.add(cand.factors)
-                twists.append(cand)
-    return twists
-
-
 def certify_nearby_slopes(module: FormalModule, p: int, *,
                           ram_bound: int = DEFAULT_RAM_BOUND,
                           ord_bound: int = DEFAULT_ORD_BOUND) -> NearbyCertificate:
@@ -629,8 +599,11 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
 
     Membership of each claimed slope is verified by an explicit witness
     twist; every other slope on the bounded rational grid is certified by
-    exhausting the elementary twists of that slope within the bounds and
-    checking that each gives vanishing nearby cycles.  A failure on either
+    exhausting the generic elementary twists of that slope within the
+    bounds and checking that each gives vanishing nearby cycles.  Both
+    sides read the dimension off psi_dim_twisted's cancellation counts; the
+    composed route psi_dim(tensor(module, pullback(p, twist)), p) gives the
+    same numbers and is kept as the test oracle.  A failure on either
     side raises FalsificationError.  Bounds below 1 would leave the grid
     vacuous and raise ValueError before any work starts.
     """
@@ -638,20 +611,13 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
         raise ValueError(f"certificate bounds must be >= 1, got ram_bound="
                          f"{ram_bound}, ord_bound={ord_bound}")
     claimed = nearby_slopes(module, p, verify=False)
-    members = []
-    for r in sorted(claimed):
-        twist = regular_module(1) if r == 0 else witness_twist(module, r * p, p)
-        dim = psi_dim(tensor(module, pullback(p, twist)), p)
-        if dim <= 0:
-            raise FalsificationError(
-                f"claimed nearby slope {r} (p={p}) has no working witness; "
-                f"{_replay(module, p)}")
-        members.append(WitnessRecord(r, twist, dim))
+    members = tuple(_witnesses(module, p, claimed))
 
     nonmembers = []
     for r in sorted(candidate_slope_grid(ram_bound, ord_bound) - claimed):
         checked = 0
-        for twist in _twist_templates(r, module, p, ram_bound, ord_bound):
+        # r is unclaimed, so no factor has slope r*p: generic twists suffice.
+        for twist in _generic_twists(r, ram_bound, ord_bound):
             dim = psi_dim_twisted(module, twist, p)
             if dim != 0:
                 raise FalsificationError(
@@ -661,4 +627,4 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
             checked += 1
         nonmembers.append(ExhaustionRecord(r, checked))
     return NearbyCertificate(p, ram_bound, ord_bound,
-                             tuple(members), tuple(nonmembers))
+                             members, tuple(nonmembers))

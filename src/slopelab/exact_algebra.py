@@ -217,6 +217,19 @@ def _poly_inverse_mod(coeffs: Sequence[Fraction], phi: Sequence[int]) -> list[Fr
     return [c / lead for c in s1]
 
 
+def _hash_once(self) -> int:
+    # The hash of the constructor arguments that __reduce__ rebuilds the
+    # value from, computed on the first call and kept in the `_hash` slot or
+    # attribute: canonical values are cache keys and are hashed again on
+    # every lookup.
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(self.__reduce__()[1])
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
 class CycloRat:
     """An exact element of a cyclotomic number field.
 
@@ -415,13 +428,7 @@ class CycloRat:
             return NotImplemented
         return self.order == other.order and self.coords == other.coords
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.order, self.coords))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = _hash_once
 
     # -- rendering -------------------------------------------------------------
 
@@ -569,13 +576,7 @@ class RamifiedExponent:
             return NotImplemented
         return self.ram == other.ram and self.terms == other.terms
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ram, self.terms))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = _hash_once
 
     def __repr__(self):
         if self.is_zero:

@@ -457,15 +457,44 @@ def test_slope_mismatched_pairs_never_reach_the_pair_cache(monkeypatch):
     while len(slopes(m)) < 3:
         m = random_formal_module(rng)
     _pair_regular_rank.cache_clear()
-    # The exhaustion checks only slopes the module lacks, so every pair
-    # it visits is slope-mismatched.
-    certify_nearby_slopes(m, 2)
-    assert visited["all"] > 0 and visited["equal"] == 0
-    assert lookups() == 0
     # Each witness twist matches one slope of the module.
     nearby_slopes(m, 2)
-    assert 0 < visited["equal"] < visited["all"]
-    assert lookups() == visited["equal"]
+    witnessed = visited["equal"]
+    assert 0 < witnessed < visited["all"]
+    assert lookups() == witnessed
+    # A certificate checks its members with the same witnesses; the
+    # exhaustion checks only slopes the module lacks, so it adds no
+    # equal-slope pair and no lookup.
+    visited.update(all=0, equal=0)
+    _pair_regular_rank.cache_clear()
+    certify_nearby_slopes(m, 2)
+    assert visited["all"] > witnessed and visited["equal"] == witnessed
+    assert lookups() == witnessed
+
+
+def test_certificate_members_match_the_composed_route(monkeypatch):
+    # Certificates measure witnesses by cancellation counts alone and never
+    # build the canonical tensor; the composed route is the oracle.
+    def refuse(*_):
+        raise AssertionError("the certificate reached the canonical tensor")
+
+    rng = random.Random(48)
+    modules = [random_formal_module(rng) for _ in range(24)]
+    with monkeypatch.context() as patched:
+        patched.setattr(_ELEMENTARY, "tensor", refuse)
+        patched.setattr(_ELEMENTARY, "_tensor_pair", refuse)
+        certs = [(m, p, certify_nearby_slopes(m, p))
+                 for m in modules for p in (1, 2, 3)]
+    for m, p, cert in certs:
+        for w in cert.members:
+            oracle = psi_dim(tensor(m, pullback(p, w.twist)), p)
+            assert w.psi_dimension == oracle, (m, p, w.slope)
+        # The exhaustion has no factor-derived twist to add for these.
+        factor_slopes = {f.slope for f in m.factors}
+        assert not any(rec.slope * p in factor_slopes for rec in cert.nonmembers)
+    assert max(f.ram for m in modules for f in m.factors) == 6
+    assert sum(any(c.order > 1 for f in m.factors for _, c in f.phi.terms)
+               for m in modules) >= 5
 
 
 # ---------------------------------------------------------------------------
