@@ -334,22 +334,15 @@ def pullback(q: int, module: FormalModule) -> FormalModule:
         return module
     parts = []
     for f in module.factors:
-        parts.extend(_pullback_factor(q, f))
+        p = f.ram
+        g = gcd(p, q)
+        scale = q // g
+        reg = f.reg.scale_exponents(scale)
+        for j in range(g):
+            terms = {k * scale: c * CycloRat.zeta(p, j * k)
+                     for k, c in f.phi.terms}
+            parts.append(make_elementary(p // g, terms, reg))
     return FormalModule.of(parts)
-
-
-@lru_cache(maxsize=131072)
-def _pullback_factor(q: int, f: ElementaryModule) -> tuple:
-    p = f.ram
-    g = gcd(p, q)
-    scale = q // g
-    reg2 = f.reg.scale_exponents(scale)
-    parts = []
-    for j in range(g):
-        terms = {k * scale: c * CycloRat.zeta(p, j * k)
-                 for k, c in f.phi.terms}
-        parts.append(make_elementary(p // g, terms, reg2))
-    return tuple(parts)
 
 
 def tensor(left: FormalModule, right: FormalModule) -> FormalModule:
@@ -364,34 +357,43 @@ def tensor(left: FormalModule, right: FormalModule) -> FormalModule:
     parts = []
     for a in left.factors:
         for b in right.factors:
-            parts.extend(_tensor_pair(a, b))
+            p, q = a.ram, b.ram
+            g = gcd(p, q)
+            reg = a.reg.scale_exponents(q // g).tensor(
+                b.reg.scale_exponents(p // g))
+            parts.extend(make_elementary(p * q // g, terms, reg)
+                         for terms in _conjugate_sums(a, b, 1))
     return FormalModule.of(parts)
 
 
-def _conjugate_sums(a: ElementaryModule, b: ElementaryModule):
-    # The g = gcd(p, q) conjugate exponent sums phi(zeta_p^j * w**(q/g)) +
-    # psi(w**(p/g)) of a pair, as {exponent: coefficient} dicts on the
-    # degree-lcm(p, q) cover.
+def _conjugate_sums(a: ElementaryModule, b: ElementaryModule, s: int):
+    # The sums of a tensor pullback(s, b) as {exponent: coefficient} dicts on
+    # the degree-lcm(p, q') cover, with p = a.ram, q = b.ram, h = gcd(q, s)
+    # and q' = q/h: pullback(s, b) splits into the h conjugates
+    # psi_i(v) = psi(zeta_q^i * v**(s/h)) of ramification q', and each pairs
+    # with a into the g = gcd(p, q') sums phi(zeta_p^j * w**(q'/g)) +
+    # psi_i(w**(p/g)).  Nothing is canonicalized, and need not be: both
+    # splits are isomorphisms for any Galois representative of phi or psi
+    # and any ramification, reduced or not, so the summands are the composed
+    # route's up to relabelling.  A summand is regular exactly when its sum
+    # vanishes, and canonicalizing a sum neither makes nor breaks that, so
+    # the count of vanishing sums is the composed route's.
     p, q = a.ram, b.ram
-    g = gcd(p, q)
-    qg, pg = q // g, p // g
-    base = {k * pg: c for k, c in b.phi.terms}
-    for j in range(g):
-        terms = dict(base)
-        for k, c in a.phi.terms:
-            kk = k * qg
-            add = c * CycloRat.zeta(p, j * k) if j else c
-            prev = terms.get(kk)
-            terms[kk] = add if prev is None else prev + add
-        yield terms
-
-
-def _tensor_pair(a: ElementaryModule, b: ElementaryModule) -> tuple:
-    p, q = a.ram, b.ram
-    g = gcd(p, q)
-    reg = a.reg.scale_exponents(q // g).tensor(b.reg.scale_exponents(p // g))
-    return tuple(make_elementary(p * q // g, terms, reg)
-                 for terms in _conjugate_sums(a, b))
+    h = gcd(q, s)
+    qh = q // h
+    g = gcd(p, qh)
+    bscale, ascale = s // h * (p // g), qh // g
+    a_conjugates = [[(k * ascale, c * CycloRat.zeta(p, j * k) if j else c)
+                     for k, c in a.phi.terms] for j in range(g)]
+    for i in range(h):
+        base = {k * bscale: c * CycloRat.zeta(q, i * k) if i else c
+                for k, c in b.phi.terms}
+        for a_terms in a_conjugates:
+            terms = dict(base)
+            for kk, add in a_terms:
+                prev = terms.get(kk)
+                terms[kk] = add if prev is None else prev + add
+            yield terms
 
 
 # ---------------------------------------------------------------------------
@@ -410,44 +412,31 @@ def psi_dim(module: FormalModule, k: int) -> int:
     return k * regular_rank(module)
 
 
-@lru_cache(maxsize=262144)
-def _pair_regular_rank(a: ElementaryModule, b: ElementaryModule) -> int:
-    # Regular rank of the elementary-pair tensor, by exact cancellation
-    # detection only: a conjugate summand is regular iff its exponent sum
-    # vanishes identically, in which case it contributes lcm * rkA * rkB.
-    # A pair of unequal slopes gives 0 here too; psi_dim_twisted skips such
-    # pairs before the lookup.
-    cancelling = sum(1 for terms in _conjugate_sums(a, b)
-                     if all(c.is_zero for c in terms.values()))
-    lcm = a.ram * b.ram // gcd(a.ram, b.ram)
-    return cancelling * lcm * a.reg.rank * b.reg.rank
-
-
 def psi_dim_twisted(module: FormalModule, twist: FormalModule, p: int) -> int:
     """psi_dim(tensor(module, pullback(p, twist)), p), computed directly.
 
     Equivalent to composing the three operations (asserted by the test
-    suite), but skips canonicalization: only exact exponent cancellation can
-    produce a regular summand, so the regular rank of the tensor is a sum of
-    per-pair cancellation counts.
+    suite), but builds neither the pulled-back twist nor the tensor: only
+    exact exponent cancellation can produce a regular summand, so the
+    regular rank of the tensor is a sum of per-pair cancellation counts.
     """
     if p < 1:
         raise ValueError(f"nearby cycles need p >= 1, got {p}")
     total = 0
     factors = [(a, a.phi.pole_order, a.ram) for a in module.factors]
-    for b0 in twist.factors:
-        pulled = _pullback_factor(p, b0) if p > 1 else (b0,)
-        for b in pulled:
-            nb, rb = b.phi.pole_order, b.ram
-            for a, na, ra in factors:
-                # Only equal slopes na/ra = nb/rb can cancel.  On the common
-                # cover of degree L the two exponents have pole orders
-                # na*L/ra and nb*L/rb; when these differ, the deeper pole
-                # survives in every conjugate sum and the pair adds 0.  The
-                # test runs before the lookup, so only equal-slope pairs
-                # reach the pair cache.
-                if na * rb == nb * ra:
-                    total += _pair_regular_rank(a, b)
+    for b in twist.factors:
+        nb, rb = b.phi.pole_order, b.ram
+        qh = rb // gcd(rb, p)  # ramification of b's pulled-back conjugates
+        for a, na, ra in factors:
+            # Only equal slopes na/ra = p*nb/rb can cancel.  On the common
+            # cover of degree L the two exponents have pole orders na*L/ra
+            # and p*nb*L/rb; when these differ, the deeper pole survives in
+            # every conjugate sum and the pair adds 0.
+            if na * rb == p * nb * ra:
+                cancelling = sum(1 for terms in _conjugate_sums(a, b, p)
+                                 if all(c.is_zero for c in terms.values()))
+                lcm = ra * qh // gcd(ra, qh)
+                total += cancelling * lcm * a.reg.rank * b.reg.rank
     return p * total
 
 

@@ -22,6 +22,7 @@ from slopelab.elementary import (
     make_elementary,
     nearby_slopes,
     psi_dim,
+    psi_dim_twisted,
     pullback,
     pushforward,
     regular_module,
@@ -30,12 +31,7 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import (
-    _galois_canonical,
-    _pair_regular_rank,
-    _pullback_factor,
-    _tensor_pair,
-)
+from slopelab.elementary import _conjugate_sums, _galois_canonical
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.expr import module_to_expr, parse_and_eval
@@ -400,11 +396,11 @@ def test_cyclotomic_coefficients_flow_through_the_calculus():
     assert dual(dual(m)) == m
 
 
-def test_pair_regular_rank_matches_the_canonical_tensor():
-    # Oracle for the shared conjugate-sum kernel: counting the vanishing
-    # sums of a pair must agree with canonicalizing the pair's tensor and
-    # reading its regular rank.  Every odd draw pairs its factor with the
-    # pulled-back factors of its witness twist, so cancellation really occurs.
+def test_conjugate_sum_count_matches_the_canonical_route():
+    # Oracle for the conjugate-sum kernel: counting the vanishing sums of
+    # a tensor pullback(s, b) must agree with canonicalizing the pullback and
+    # the tensor and reading the regular rank.  Every odd draw pairs its
+    # factor with its witness twist, so cancellation really occurs at s = p.
     rng = random.Random(2024)
     z3, z4 = CycloRat.zeta(3), CycloRat.zeta(4)
     coeffs = (F(1), F(-2), F(1, 3), z3, -z4, z3 + 2 * z4)
@@ -422,67 +418,75 @@ def test_pair_regular_rank_matches_the_canonical_tensor():
         if i % 2 and not a.is_regular:
             p = rng.randint(1, 3)
             twist = witness_twist(FormalModule.of([a]), a.slope, p)
-            pairs.extend((a, b) for b in pullback(p, twist).factors)
+            pairs.extend((a, b) for b in twist.factors)
         else:
             pairs.append((a, random_factor()))
     cancelling = 0
     for a, b in pairs:
-        fast = _pair_regular_rank(a, b)
-        assert fast == regular_rank(FormalModule.of(_tensor_pair(a, b))), (a, b)
-        cancelling += fast > 0
+        for s in (1, 2, 3):
+            sums = list(_conjugate_sums(a, b, s))
+            qh = b.ram // gcd(b.ram, s)
+            assert len(sums) == gcd(b.ram, s) * gcd(a.ram, qh)
+            count = sum(all(c.is_zero for c in t.values()) for t in sums)
+            lcm = a.ram * qh // gcd(a.ram, qh)
+            fast = count * lcm * a.reg.rank * b.reg.rank
+            oracle = tensor(FormalModule.of([a]),
+                            pullback(s, FormalModule.of([b])))
+            assert fast == regular_rank(oracle), (a, b, s)
+            cancelling += fast > 0
     assert cancelling >= 20
 
 
-def test_slope_mismatched_pairs_never_reach_the_pair_cache(monkeypatch):
-    # Count the pairs psi_dim_twisted visits by replaying its loop; the pair
-    # cache must be asked about exactly the equal-slope ones.
-    visited = {"all": 0, "equal": 0}
+def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
+    # Count the pairs psi_dim_twisted visits by replaying its loop; the
+    # conjugate-sum kernel must be asked about exactly the equal-slope ones.
+    visited = {"all": 0, "equal": 0, "kernel": 0}
     original = _ELEMENTARY.psi_dim_twisted
+    kernel = _ELEMENTARY._conjugate_sums
 
     def counting(module, twist, p):
-        for b0 in twist.factors:
-            for b in (_pullback_factor(p, b0) if p > 1 else (b0,)):
-                for a in module.factors:
-                    visited["all"] += 1
-                    visited["equal"] += a.slope == b.slope
+        for b in twist.factors:
+            for a in module.factors:
+                visited["all"] += 1
+                visited["equal"] += a.slope == p * b.slope
         return original(module, twist, p)
 
-    def lookups():
-        info = _pair_regular_rank.cache_info()
-        return info.hits + info.misses
+    def counting_kernel(a, b, s):
+        visited["kernel"] += 1
+        return kernel(a, b, s)
 
     monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", counting)
+    monkeypatch.setattr(_ELEMENTARY, "_conjugate_sums", counting_kernel)
     rng = random.Random(47)
     m = random_formal_module(rng)
     while len(slopes(m)) < 3:
         m = random_formal_module(rng)
-    _pair_regular_rank.cache_clear()
     # Each witness twist matches one slope of the module.
     nearby_slopes(m, 2)
     witnessed = visited["equal"]
     assert 0 < witnessed < visited["all"]
-    assert lookups() == witnessed
+    assert visited["kernel"] == witnessed
     # A certificate checks its members with the same witnesses; the
     # exhaustion checks only slopes the module lacks, so it adds no
-    # equal-slope pair and no lookup.
-    visited.update(all=0, equal=0)
-    _pair_regular_rank.cache_clear()
+    # equal-slope pair and no kernel call.
+    visited.update(all=0, equal=0, kernel=0)
     certify_nearby_slopes(m, 2)
     assert visited["all"] > witnessed and visited["equal"] == witnessed
-    assert lookups() == witnessed
+    assert visited["kernel"] == witnessed
 
 
 def test_certificate_members_match_the_composed_route(monkeypatch):
-    # Certificates measure witnesses by cancellation counts alone and never
-    # build the canonical tensor; the composed route is the oracle.
+    # Certificates and psi_dim_twisted measure twists by cancellation counts
+    # alone and never build the pullback or the canonical tensor; the
+    # composed route is the oracle.
     def refuse(*_):
-        raise AssertionError("the certificate reached the canonical tensor")
+        raise AssertionError("the direct route reached the canonical calculus")
 
     rng = random.Random(48)
     modules = [random_formal_module(rng) for _ in range(24)]
     with monkeypatch.context() as patched:
         patched.setattr(_ELEMENTARY, "tensor", refuse)
-        patched.setattr(_ELEMENTARY, "_tensor_pair", refuse)
+        patched.setattr(_ELEMENTARY, "pullback", refuse)
         certs = [(m, p, certify_nearby_slopes(m, p))
                  for m in modules for p in (1, 2, 3)]
     for m, p, cert in certs:
@@ -495,6 +499,18 @@ def test_certificate_members_match_the_composed_route(monkeypatch):
     assert max(f.ram for m in modules for f in m.factors) == 6
     assert sum(any(c.order > 1 for f in m.factors for _, c in f.phi.terms)
                for m in modules) >= 5
+    # With make_elementary refused too, psi_dim_twisted still measures
+    # precomputed twists: the witnesses and one random twist per case.
+    cases = [(m, p, twist) for m, p, cert in certs
+             for twist in [w.twist for w in cert.members]
+             + [random_formal_module(rng, max_factors=1)]]
+    with monkeypatch.context() as patched:
+        for name in ("tensor", "pullback", "make_elementary"):
+            patched.setattr(_ELEMENTARY, name, refuse)
+        direct = [psi_dim_twisted(m, twist, p) for m, p, twist in cases]
+    for (m, p, twist), dim in zip(cases, direct):
+        assert dim == psi_dim(tensor(m, pullback(p, twist)), p), (m, p, twist)
+    assert sum(dim > 0 for dim in direct) > len(certs)
 
 
 # ---------------------------------------------------------------------------
