@@ -1,11 +1,11 @@
 """Seeded random corpora: formal modules, good models, blow-up chains,
 expressions.
 
-The CLI selftest harness and the acceptance test suite both draw from these
-generators, each with its own seeds and sizes: selftest derives one stream
-per suite from its --seed, while acceptance uses seed 20124 and its own
-corpus sizes.  So a seed reproduces each harness's inputs, but the two
-harnesses do not share them.
+`slopelab selftest` and the tests draw from these generators, each with its
+own seeds and sizes, and hand the corpora to the same checks in
+:mod:`slopelab.selftest`: selftest derives one stream per check from its
+--seed, while the acceptance criteria use seed 20124 and their own corpus
+sizes.  So a seed reproduces each caller's inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from slopelab.elementary import (
     RegularPart,
     make_elementary,
 )
+from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, MultiIndex
 from slopelab.monomial_models import GoodModel, ModelFactor
 
@@ -162,7 +163,6 @@ def random_chain(rng: random.Random, *, max_dim: int = 4, max_steps: int = 6,
         state = blowup.blow_up(state, step)
         report = blowup.verify_inequality(state)
         if not report.ok:
-            from slopelab.errors import FalsificationError
             raise FalsificationError(
                 "inequality violated mid-chain at " + ", ".join(report.violations))
     return state

@@ -12,38 +12,27 @@ from fractions import Fraction
 
 import pytest
 
+from slopelab import selftest
 from slopelab.cli import main as cli_main
 from slopelab.elementary import (
     certify_nearby_slopes,
-    dual,
     elementary,
-    is_regular,
-    nearby_slopes,
     psi_dim,
     psi_dim_twisted,
     pullback,
-    pushforward,
-    regular_rank,
+    regular_module,
     slopes,
     tensor,
-    witness_twist,
 )
 from slopelab.exact_algebra import MultiIndex
-from slopelab.expr import module_to_expr, parse_and_eval
-from slopelab.monomial_models import (
-    MonomialFunction,
-    curve_restriction,
-    highest_generic_slopes,
-    nearby_slope_bound,
-    vanishing_threshold,
-)
+from slopelab.expr import parse_and_eval
+from slopelab.monomial_models import MonomialFunction
 from slopelab.newton_polygon import exp_twist_operator, slopes_from_operator
 from slopelab.randomgen import (
     random_chain,
     random_formal_module,
     random_good_model,
 )
-from slopelab import blowup
 
 from golden_operators import GOLDEN_FIXTURES, build_operator
 
@@ -57,6 +46,17 @@ def _report(number: int, text: str):
     print(f"\nACCEPTANCE {number}: PASS - {text}")
 
 
+def _check(number: int, result: selftest.SuiteResult) -> selftest.SuiteResult:
+    # A failure carries the check's own text (the case and its inputs; for
+    # the module checks, p and the module as expression text) and the
+    # command that reruns the criterion.
+    replay = ("replay: python -m pytest tests/test_acceptance.py "
+              f"-k criterion_{number}")
+    assert result.ok, "\n".join(f"{result.name}: {failure}; {replay}"
+                                 for failure in result.failures)
+    return result
+
+
 @pytest.fixture(scope="module")
 def corpus():
     rng = random.Random(ACCEPTANCE_SEED)
@@ -68,15 +68,9 @@ def test_criterion_1_witness_forward(corpus):
     """Forward direction: every positive slope admits a witness twist with
     nonvanishing nearby cycles along x**p, p <= 2, where the direct count
     equals the composed route (500 modules)."""
-    checked = 0
-    for m in corpus:
-        for s in slopes(m):
-            if s > 0:
-                for p in (1, 2):
-                    twist = witness_twist(m, s, p)
-                    composed = psi_dim(tensor(m, pullback(p, twist)), p)
-                    assert psi_dim_twisted(m, twist, p) == composed > 0, (m, s, p)
-                    checked += 1
+    _check(1, selftest.check_nearby_cycles(
+        [(m, p, p) for m in corpus for p in (1, 2)]))
+    checked = 2 * sum(s > 0 for m in corpus for s in slopes(m))
     assert checked > 800
     _report(1, f"witness twists nonvanishing and fast/full routes agree in "
                f"{checked} (slope, p) cases across 500 modules, p <= 2")
@@ -107,36 +101,24 @@ def test_criterion_2_bounded_exhaustion(corpus):
 
 def test_criterion_3_dual_invariance(corpus):
     """Nearby slopes are invariant under duality, p <= 6."""
-    for m in corpus:
-        dm = dual(m)
-        for p in range(1, 7):
-            assert nearby_slopes(dm, p) == nearby_slopes(m, p), (m, p)
+    _check(3, selftest.check_dual([(m, range(1, 7)) for m in corpus]))
     _report(3, "nearby slopes invariant under duality for 500 modules, p <= 6")
 
 
 def test_criterion_4_pushforward_inclusion(corpus):
     """Nearby slopes of a pushforward embed into the source's nearby slopes
     along the composite; the inclusion is an equality in this calculus."""
-    equal = 0
-    total = 0
-    for m in corpus:
-        for p in range(1, 7):
-            lhs = nearby_slopes(pushforward(p, m), 1)
-            rhs = nearby_slopes(m, p)
-            assert lhs <= rhs, (m, p)
-            total += 1
-            if lhs == rhs:
-                equal += 1
+    res = _check(4, selftest.check_pushforward_nearby(
+        [(m, p) for m in corpus for p in range(1, 7)]))
+    equal, total = res.notes["observed_equalities"], res.cases
+    assert equal == total
     _report(4, f"inclusion holds in {total} cases "
                f"(observed equality in {equal}/{total})")
 
 
 def test_criterion_5_regularity(corpus):
     """Regularity is equivalent to nearby slopes inside {0}, p <= 6."""
-    for m in corpus:
-        reg = is_regular(m)
-        for p in range(1, 7):
-            assert reg == (nearby_slopes(m, p) <= {F(0)}), (m, p)
+    _check(5, selftest.check_regularity(corpus))
     _report(5, "regularity <=> nearby slopes in {0} for 500 modules, p <= 6")
 
 
@@ -147,51 +129,24 @@ def test_criterion_6_monomial_coherence():
     rng = random.Random(ACCEPTANCE_SEED + 2)
     models = [random_good_model(rng, max_dim=4, max_pole=6)
               for _ in range(200)]
-    f_checked = 0
-    mediant_checked = 0
-    pipeline_checked = 0
+    cases = []
+    f_checked = mediant_checked = pipeline_checked = 0
     for model in models:
         dim = model.dim
-        div = highest_generic_slopes(model)
-        bound = nearby_slope_bound(model)
-        r_vec = [int(w) for w in div.weights]
-        support = set(model.pole_support)
-        curves = [c for c in itertools.product((1, 2, 3), repeat=dim)]
-        all_f = [a for a in itertools.product(range(5), repeat=dim) if any(a)]
-        applicable_pairs = []
-        for a in all_f:
-            f = MonomialFunction(a)
-            thr = vanishing_threshold(model, f)
-            assert thr.value <= bound, (model, a)
-            f_checked += 1
-            if all(a[i] >= 1 for i in support):
-                # Mediant inequality, exact in integers, for every curve:
-                # <r, c> / <a, c> <= threshold dominates each factor's
-                # restricted slope since poles are componentwise below r.
-                num_cap, den_cap = thr.value.numerator, thr.value.denominator
-                for c in curves:
-                    lhs = sum(r * x for r, x in zip(r_vec, c))
-                    rhs = sum(e * x for e, x in zip(a, c))
-                    assert lhs * den_cap <= num_cap * rhs, (model, a, c)
-                    mediant_checked += 1
-                applicable_pairs.append(f)
-        # Full pipeline on a seeded subsample: restricted nearby slopes
-        # computed through the one-variable calculus match the dot-product
-        # prediction and stay below the threshold.
-        for _ in range(min(4, len(applicable_pairs))):
-            f = applicable_pairs[rng.randrange(len(applicable_pairs))]
-            c = MultiIndex([rng.randint(1, 3) for _ in range(dim)])
-            restricted, k = curve_restriction(model, c, f)
-            thr = vanishing_threshold(model, f)
-            near = nearby_slopes(restricted, k)
-            predicted = {F(fac.pole.dot(c.entries), k)
-                         for fac in model.factors if fac.pole.dot(c.entries)}
-            if regular_rank(restricted):
-                predicted.add(F(0))
-            assert near == predicted, (model, f, c)
-            for s in near:
-                assert s <= thr.value, (model, f, c, s)
-            pipeline_checked += 1
+        fs = [MonomialFunction(a) for a in itertools.product(range(5), repeat=dim)
+              if any(a)]
+        curves = list(itertools.product((1, 2, 3), repeat=dim))
+        # The mediant runs on every f whose support covers the pole support;
+        # the full pipeline on a seeded subsample of them.
+        covering = [f for f in fs if set(model.pole_support) <= set(f.support)]
+        samples = [(covering[rng.randrange(len(covering))],
+                    MultiIndex([rng.randint(1, 3) for _ in range(dim)]))
+                   for _ in range(min(4, len(covering)))]
+        cases.append((model, (), fs, curves, samples, ()))
+        f_checked += len(fs)
+        mediant_checked += len(covering) * len(curves)
+        pipeline_checked += len(samples)
+    _check(6, selftest.check_monomial_models(cases))
     _report(6, f"threshold <= bound for {f_checked} (model, f) pairs; mediant "
                f"exact on {mediant_checked} curve checks; {pipeline_checked} "
                f"full pipeline samples")
@@ -202,17 +157,12 @@ def test_criterion_7_blowup_sweep():
     inequality and the three-line induction estimate hold after every step
     (the step operation itself asserts the estimate)."""
     rng = random.Random(ACCEPTANCE_SEED + 3)
-    toric = abstract = 0
-    for i in range(1000):
-        mode = "toric" if i % 2 == 0 else "abstract"
-        state = random_chain(rng, max_dim=4, max_steps=6, mode=mode)
-        report = blowup.verify_inequality(state)
-        assert report.ok, blowup.report_to_text(report)
-        if mode == "toric":
-            toric += 1
-        else:
-            abstract += 1
-    _report(7, f"1000 chains verified ({toric} toric, {abstract} abstract), "
+    chains = [random_chain(rng, max_dim=4, max_steps=6,
+                           mode="toric" if i % 2 == 0 else "abstract")
+              for i in range(1000)]
+    _check(7, selftest.check_blowup(chains))
+    toric = sum(state.mode == "toric" for state in chains)
+    _report(7, f"1000 chains verified ({toric} toric, {1000 - toric} abstract), "
                f"no inequality violations")
 
 
@@ -237,11 +187,8 @@ def test_criterion_9_cli_roundtrip_determinism(capsys):
     """200 generated expressions survive print-parse; CLI output is
     byte-identical across runs under a fixed seed."""
     rng = random.Random(ACCEPTANCE_SEED + 4)
-    for _ in range(200):
-        m = random_formal_module(rng, allow_zero=True)
-        text = module_to_expr(m)
-        assert parse_and_eval(text) == m
-        assert module_to_expr(parse_and_eval(text)) == text
+    _check(9, selftest.check_expression_round_trip(
+        [random_formal_module(rng, allow_zero=True) for _ in range(200)]))
 
     def run(*argv):
         code = cli_main(list(argv))
@@ -257,3 +204,19 @@ def test_criterion_9_cli_roundtrip_determinism(capsys):
     assert cert1 == cert2
     assert json.loads(first)["ok"] is True
     _report(9, "200 expressions round-trip; repeated CLI runs byte-identical")
+
+
+def test_criterion_failures_are_replayable(monkeypatch):
+    # A "dual" that adds a summand breaks the involution on every module.
+    monkeypatch.setattr(selftest, "dual", lambda m: m + regular_module(1))
+    rng = random.Random(ACCEPTANCE_SEED)
+    modules = [random_formal_module(rng, max_ram=6, max_ord=8, max_reg_rank=4)
+               for _ in range(3)]
+    with pytest.raises(AssertionError) as info:
+        _check(3, selftest.check_dual([(m, range(1, 7)) for m in modules]))
+    line = str(info.value).splitlines()[0]
+    assert line.startswith("duality: case 0: involution; module: ")
+    assert line.endswith(
+        "; replay: python -m pytest tests/test_acceptance.py -k criterion_3")
+    text = line.split("module: ")[1].split(";")[0]
+    assert parse_and_eval(text) == modules[0]

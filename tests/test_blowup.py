@@ -17,6 +17,7 @@ from slopelab.blowup import (
 )
 from slopelab.errors import ScriptError
 from slopelab.randomgen import random_chain
+from slopelab.selftest import check_blowup
 
 F = Fraction
 
@@ -114,22 +115,16 @@ def test_exceptional_components_accumulate_and_keep_values():
 
 
 def test_toric_valuation_linearity_on_deeper_chains():
-    # v_E(x^m) = <ray_E, m> for every component of every random toric chain.
     rng = random.Random(51)
-    for _ in range(30):
-        state = random_chain(rng, mode="toric", max_steps=5)
-        for comp in state.components:
-            assert comp.vZ == sum(x * a for x, a in zip(comp.ray, state.z_vector))
-            assert comp.vS == sum((Fraction(x) * r for x, r in
-                                   zip(comp.ray, state.s_vector)), Fraction(0))
+    res = check_blowup([random_chain(rng, mode="toric", max_steps=5)
+                        for _ in range(30)])
+    assert res.ok, res.failures
 
 
 def test_random_chains_never_violate_the_inequality():
     rng = random.Random(52)
-    for _ in range(120):
-        state = random_chain(rng)
-        report = verify_inequality(state)
-        assert report.ok, report_to_text(report)
+    res = check_blowup([random_chain(rng) for _ in range(120)])
+    assert res.ok, res.failures
 
 
 def test_smooth_fan_invariant_unimodular_cones():

@@ -228,7 +228,7 @@ def test_selftest_failure_is_replayable(capsys, monkeypatch):
     assert line.startswith("duality: seed 7, case 0: involution; module: ")
     assert line.endswith("; replay: slopelab selftest --seed 7 --cases 3")
     # The module text is case 0's input, drawn from the duality suite's rng.
-    index = selftest.ALL_SUITES.index(selftest.suite_dual)
+    index = [check for check, _ in selftest.ALL_SUITES].index(selftest.check_dual)
     text = line.split("module: ")[1].split(";")[0]
     assert parse_and_eval(text) == random_formal_module(
         random.Random(7 * 1000003 + index))

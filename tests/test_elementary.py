@@ -36,6 +36,7 @@ from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.expr import module_to_expr, parse_and_eval
 from slopelab.randomgen import random_formal_module
+from slopelab.selftest import check_pullback_pushforward, check_tensor
 
 F = Fraction
 
@@ -129,14 +130,6 @@ def test_dual_examples():
     assert dual(reg) == regular_module(1, exponents=[F(2, 3)])
 
 
-def test_dual_is_an_involution_on_random_modules():
-    rng = random.Random(11)
-    for _ in range(40):
-        m = random_formal_module(rng)
-        assert dual(dual(m)) == m
-        assert slopes(dual(m)) == slopes(m)
-
-
 # ---------------------------------------------------------------------------
 # Pullback / pushforward.
 # ---------------------------------------------------------------------------
@@ -159,26 +152,6 @@ def test_pushforward_examples():
         2, exponents=[F(0), F(1, 2)])
 
 
-def test_pullback_scales_slopes_and_preserves_rank():
-    rng = random.Random(12)
-    for _ in range(40):
-        m = random_formal_module(rng)
-        q = rng.randint(1, 6)
-        pb = pullback(q, m)
-        assert pb.rank == m.rank
-        assert slopes(pb) == {q * s: mult for s, mult in slopes(m).items()}
-
-
-def test_pushforward_divides_slopes_and_multiplies_rank():
-    rng = random.Random(13)
-    for _ in range(40):
-        m = random_formal_module(rng)
-        p = rng.randint(1, 6)
-        pf = pushforward(p, m)
-        assert pf.rank == p * m.rank
-        assert slopes(pf) == {s / p: p * mult for s, mult in slopes(m).items()}
-
-
 # ---------------------------------------------------------------------------
 # Tensor.
 # ---------------------------------------------------------------------------
@@ -196,48 +169,22 @@ def test_tensor_examples():
 
 
 def test_functorial_identities_hold_exactly():
-    # Pullback is a tensor functor, both direct/inverse images compose, and
-    # the projection formula ties all three operations together.  These
-    # relations are sharp consistency checks on the conjugate bookkeeping.
+    # Pullback and pushforward compose, pullback and dual are tensor
+    # functors, and the projection formula ties all three operations
+    # together: sharp consistency checks on the conjugate bookkeeping.  No
+    # acceptance criterion runs these two checks, so they run here.
     rng = random.Random(31337)
-    for _ in range(60):
-        m = random_formal_module(rng, max_factors=2, max_ram=5, max_ord=6)
-        n = random_formal_module(rng, max_factors=2, max_ram=5, max_ord=6)
-        q = rng.randint(1, 6)
-        p = rng.randint(1, 5)
-        a, b = rng.randint(1, 4), rng.randint(1, 4)
-        assert pullback(q, tensor(m, n)) == tensor(pullback(q, m), pullback(q, n))
-        assert pullback(a, pullback(b, m)) == pullback(a * b, m)
-        assert pushforward(a, pushforward(b, m)) == pushforward(a * b, m)
-        assert dual(tensor(m, n)) == tensor(dual(m), dual(n))
-        assert tensor(pushforward(p, m), n) == \
-            pushforward(p, tensor(m, pullback(p, n)))
 
+    def module(**bounds):
+        return random_formal_module(rng, max_ram=5, max_ord=6, **bounds)
 
-def test_tensor_slopes_obey_the_max_rule():
-    # Tensoring factors of distinct slopes yields exactly the larger slope.
-    rng = random.Random(313)
-    for _ in range(40):
-        m = random_formal_module(rng, max_factors=1)
-        n = random_formal_module(rng, max_factors=1)
-        (sm,) = slopes(m).keys()
-        (sn,) = slopes(n).keys()
-        if sm == sn:
-            continue
-        assert set(slopes(tensor(m, n))) == {max(sm, sn)}
-
-
-def test_tensor_unit_commutativity_associativity():
-    rng = random.Random(14)
-    unit = regular_module(1)
-    for _ in range(15):
-        a = random_formal_module(rng, max_factors=2, max_ram=4, max_ord=5)
-        b = random_formal_module(rng, max_factors=2, max_ram=4, max_ord=5)
-        c = random_formal_module(rng, max_factors=1, max_ram=3, max_ord=4)
-        assert tensor(a, unit) == a
-        assert tensor(a, b) == tensor(b, a)
-        assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
-        assert tensor(a, b).rank == a.rank * b.rank
+    tensor_cases = [(module(max_factors=2), module(max_factors=2),
+                     module(max_factors=1), rng.randint(1, 6), rng.randint(1, 5))
+                    for _ in range(60)]
+    image_cases = [(module(), rng.randint(1, 6), rng.randint(1, 6))
+                   for _ in range(60)]
+    for res in (check_tensor(tensor_cases), check_pullback_pushforward(image_cases)):
+        assert res.ok, res.failures
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +195,6 @@ def test_psi_dim_examples():
     assert psi_dim(elementary(1, {-1: 1}, rank=5), 1) == 0
     assert psi_dim(regular_module(2), 3) == 6
     assert psi_dim(regular_module(1) + elementary(1, {-2: 1}), 2) == 2
-
-
-def test_psi_dim_matches_pushforward_regular_rank():
-    # Independent route: psi along x**k equals psi along x of the pushforward.
-    rng = random.Random(15)
-    for _ in range(40):
-        m = random_formal_module(rng)
-        k = rng.randint(1, 5)
-        assert psi_dim(m, k) == regular_rank(pushforward(k, m))
-
-
-def test_psi_vanishes_iff_no_regular_part():
-    rng = random.Random(16)
-    for _ in range(40):
-        m = random_formal_module(rng)
-        if all(s > 0 for s in slopes(m)):
-            assert psi_dim(m, 1) == 0
-        if regular_rank(m) > 0:
-            assert psi_dim(m, 1) > 0
 
 
 def test_nearby_slopes_examples():
@@ -332,48 +260,10 @@ def test_witness_twist_rejects_missing_slope():
         witness_twist(elementary(1, {-3: 1}), F(2), 1)
 
 
-def test_every_positive_slope_has_a_working_witness():
-    rng = random.Random(17)
-    for _ in range(30):
-        m = random_formal_module(rng)
-        for p in (1, 2, 3):
-            for s in slopes(m):
-                if s > 0:
-                    n = witness_twist(m, s, p)
-                    assert psi_dim(tensor(m, pullback(p, n)), p) > 0
-
-
-def test_nearby_slopes_dual_invariance():
-    rng = random.Random(18)
-    for _ in range(25):
-        m = random_formal_module(rng)
-        for p in (1, 2, 3):
-            assert nearby_slopes(dual(m), p) == nearby_slopes(m, p)
-
-
-def test_pushforward_nearby_inclusion_is_equality_here():
-    rng = random.Random(19)
-    for _ in range(25):
-        m = random_formal_module(rng)
-        for p in (1, 2, 3, 4):
-            lhs = nearby_slopes(pushforward(p, m), 1)
-            rhs = nearby_slopes(m, p)
-            assert lhs <= rhs
-            assert lhs == rhs  # observed equality in this calculus
-
-
 def test_is_regular_examples_and_characterization():
     assert is_regular(regular_module(3))
     assert not is_regular(elementary(2, {-1: 1}))
     assert not is_regular(regular_module(1) + elementary(1, {-4: 1}))
-    rng = random.Random(20)
-    for _ in range(25):
-        m = random_formal_module(rng)
-        max_slope = max(slopes(m), default=F(0))
-        reg = is_regular(m)
-        assert reg == (max_slope == 0) or m.is_zero
-        for p in (1, 2, 3):
-            assert reg == (nearby_slopes(m, p) <= {F(0)})
 
 
 def test_certificate_members_and_nonmembers():

@@ -23,6 +23,7 @@ from slopelab.expr import (
     print_ast,
 )
 from slopelab.randomgen import random_formal_module
+from slopelab.selftest import check_expression_round_trip
 
 F = Fraction
 
@@ -123,12 +124,9 @@ def test_print_parse_round_trip_on_asts():
 
 def test_module_to_expr_round_trips_canonical_values():
     rng = random.Random(61)
-    for _ in range(60):
-        m = random_formal_module(rng)
-        text = module_to_expr(m)
-        again = parse_and_eval(text)
-        assert again == m
-        assert module_to_expr(again) == text
+    res = check_expression_round_trip(
+        [random_formal_module(rng) for _ in range(60)])
+    assert res.ok, res.failures
 
 
 def test_module_to_expr_zero():

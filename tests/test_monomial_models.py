@@ -25,6 +25,7 @@ from slopelab.monomial_models import (
     vanishing_threshold,
 )
 from slopelab.randomgen import random_good_model
+from slopelab.selftest import check_monomial_models
 
 F = Fraction
 
@@ -53,17 +54,21 @@ def test_regular_model_has_zero_divisor_and_bound():
     assert model.is_regular
 
 
+def _check_models(cases):
+    # Cases as check_monomial_models takes them: (model, extras, fs, curves,
+    # samples, lemmas).
+    res = check_monomial_models(cases)
+    assert res.ok, res.failures
+
+
 def test_monotonicity_of_generic_slopes():
     rng = random.Random(31)
+    cases = []
     for _ in range(30):
         model = random_good_model(rng)
         extra = random_good_model(rng, max_dim=model.dim)
-        if extra.dim != model.dim:
-            continue
-        bigger = GoodModel(model.dim, model.factors + extra.factors)
-        before = highest_generic_slopes(model).weights
-        after = highest_generic_slopes(bigger).weights
-        assert all(b >= a for a, b in zip(before, after))
+        cases.append((model, (extra,), (), (), (), ()))
+    _check_models(cases)
 
 
 def test_vanishing_threshold_examples():
@@ -86,13 +91,13 @@ def test_vanishing_threshold_flags_components_outside_poles():
 
 def test_threshold_never_exceeds_bound():
     rng = random.Random(32)
+    cases = []
     for _ in range(60):
         model = random_good_model(rng)
         a = MultiIndex([rng.randint(0, 4) for _ in range(model.dim)])
-        if a.is_zero:
-            continue
-        f = MonomialFunction(a)
-        assert vanishing_threshold(model, f).value <= nearby_slope_bound(model)
+        if not a.is_zero:
+            cases.append((model, (), [MonomialFunction(a)], (), (), ()))
+    _check_models(cases)
 
 
 def test_lemma_vanishing_verdicts():
@@ -119,23 +124,19 @@ def test_lemma_vanishing_implies_positive_restricted_slopes():
     # Whenever a verdict fires, every admissible curve restriction of the
     # twisted factor has strictly positive slope, hence zero nearby cycles.
     rng = random.Random(33)
+    cases = []
     for _ in range(60):
         dim = rng.randint(1, 3)
         a = MultiIndex([rng.randint(0, 3) for _ in range(dim)])
         b = MultiIndex([rng.randint(0, 3) for _ in range(dim)])
-        if a.is_zero:
-            continue
-        f = MonomialFunction(a)
-        verdict = lemma_vanishing(b, a, f)
-        if verdict is None:
+        if a.is_zero or lemma_vanishing(b, a, MonomialFunction(a)) is None:
             continue
         combined = MultiIndex([max(x, y) for x, y in zip(a, b)])
-        model = GoodModel(dim, [ModelFactor(combined)])
-        for _ in range(5):
-            c = MultiIndex([rng.randint(1, 3) for _ in range(dim)])
-            restricted, k = curve_restriction(model, c, f)
-            assert k >= 1
-            assert all(s > 0 for s in slopes(restricted))
+        lemmas = [(a, b, MultiIndex([rng.randint(1, 3) for _ in range(dim)]))
+                  for _ in range(5)]
+        cases.append((GoodModel(dim, [ModelFactor(combined)]), (), (), (), (),
+                      lemmas))
+    _check_models(cases)
 
 
 def test_curve_restriction_examples():
@@ -186,21 +187,18 @@ def test_mediant_bound_exact():
 
 def test_restricted_nearby_slopes_below_threshold_on_applicable_domain():
     rng = random.Random(35)
+    cases = []
     for _ in range(40):
         model = random_good_model(rng, max_dim=3)
         support = model.pole_support
         if not support:
             continue
-        a_entries = [rng.randint(1, 4) if i in support else 0
-                     for i in range(model.dim)]
-        f = MonomialFunction(a_entries)
-        threshold = vanishing_threshold(model, f)
-        assert threshold.criterion_applicable
-        for _ in range(4):
-            c = MultiIndex([rng.randint(1, 3) for _ in range(model.dim)])
-            restricted, k = curve_restriction(model, c, f)
-            for s in nearby_slopes(restricted, k):
-                assert s <= threshold.value
+        f = MonomialFunction([rng.randint(1, 4) if i in support else 0
+                              for i in range(model.dim)])
+        samples = [(f, MultiIndex([rng.randint(1, 3) for _ in range(model.dim)]))
+                   for _ in range(4)]
+        cases.append((model, (), [f], (), samples, ()))
+    _check_models(cases)
 
 
 # ---------------------------------------------------------------------------
