@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
-from slopelab.errors import FalsificationError, ScriptError
+from slopelab.errors import FalsificationError, ScriptError, json_int
 
 
 class ComponentKind(Enum):
@@ -364,11 +364,10 @@ def step_from_dict(data: Mapping, mode: str) -> BlowupStep:
             if "center" not in data:
                 raise ScriptError("toric step needs a 'center' list of ids")
             return BlowupStep(center=tuple(str(c) for c in data["center"]))
-        return BlowupStep(
-            alpha=tuple(int(a) for a in data.get("alpha", ())),
-            epsS=tuple(int(e) for e in data["epsS"]) if "epsS" in data else None,
-            epsE=tuple(int(e) for e in data["epsE"]) if "epsE" in data else None,
-        )
+        ints = {key: tuple(json_int(v, f"'{key}' entry") for v in data[key])
+                for key in ("alpha", "epsS", "epsE") if key in data}
+        return BlowupStep(alpha=ints.get("alpha", ()), epsS=ints.get("epsS"),
+                          epsE=ints.get("epsE"))
     except (TypeError, ValueError) as exc:
         raise ScriptError(f"malformed step: {exc}")
 
@@ -382,9 +381,9 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
     index attached.
     """
     try:
-        dim = int(script["dim"])
+        dim = json_int(script["dim"], "'dim'")
         mode = str(script.get("mode", "toric"))
-        z_mult = [int(v) for v in script["Z"]["a"]]
+        z_mult = [json_int(v, "'Z.a' entry") for v in script["Z"]["a"]]
         s_mult = [Fraction(str(v)) for v in script["S"]["r"]]
         raw_steps = script.get("steps", ())
     except (KeyError, TypeError, ValueError) as exc:

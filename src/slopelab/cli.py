@@ -191,7 +191,7 @@ _SPOT_CURVES = ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 3, 1), (3, 1, 1, 2))
 def _curve_checks(model: GoodModel, f: MonomialFunction, threshold) -> list[dict]:
     checks = []
     for base in _SPOT_CURVES:
-        curve = MultiIndex(base[: model.dim])
+        curve = MultiIndex(base[i % len(base)] for i in range(model.dim))
         restricted, k = curve_restriction(model, curve, f)
         near = sorted(nearby_slopes(restricted, k))
         top = max(near, default=Fraction(0))

@@ -334,14 +334,10 @@ def pullback(q: int, module: FormalModule) -> FormalModule:
         return module
     parts = []
     for f in module.factors:
-        p = f.ram
-        g = gcd(p, q)
-        scale = q // g
-        reg = f.reg.scale_exponents(scale)
-        for j in range(g):
-            terms = {k * scale: c * CycloRat.zeta(p, j * k)
-                     for k, c in f.phi.terms}
-            parts.append(make_elementary(p // g, terms, reg))
+        g = gcd(f.ram, q)
+        reg = f.reg.scale_exponents(q // g)
+        parts.extend(make_elementary(f.ram // g, terms, reg)
+                     for terms in _conjugates(f, g, q // g))
     return FormalModule.of(parts)
 
 
@@ -361,39 +357,18 @@ def tensor(left: FormalModule, right: FormalModule) -> FormalModule:
             g = gcd(p, q)
             reg = a.reg.scale_exponents(q // g).tensor(
                 b.reg.scale_exponents(p // g))
-            parts.extend(make_elementary(p * q // g, terms, reg)
-                         for terms in _conjugate_sums(a, b, 1))
+            [psi] = _conjugates(b, 1, p // g)
+            parts.extend(make_elementary(p * q // g,
+                                         [*phi.items(), *psi.items()], reg)
+                         for phi in _conjugates(a, g, q // g))
     return FormalModule.of(parts)
 
 
-def _conjugate_sums(a: ElementaryModule, b: ElementaryModule, s: int):
-    # The sums of a tensor pullback(s, b) as {exponent: coefficient} dicts on
-    # the degree-lcm(p, q') cover, with p = a.ram, q = b.ram, h = gcd(q, s)
-    # and q' = q/h: pullback(s, b) splits into the h conjugates
-    # psi_i(v) = psi(zeta_q^i * v**(s/h)) of ramification q', and each pairs
-    # with a into the g = gcd(p, q') sums phi(zeta_p^j * w**(q'/g)) +
-    # psi_i(w**(p/g)).  Nothing is canonicalized, and need not be: both
-    # splits are isomorphisms for any Galois representative of phi or psi
-    # and any ramification, reduced or not, so the summands are the composed
-    # route's up to relabelling.  A summand is regular exactly when its sum
-    # vanishes, and canonicalizing a sum neither makes nor breaks that, so
-    # the count of vanishing sums is the composed route's.
-    p, q = a.ram, b.ram
-    h = gcd(q, s)
-    qh = q // h
-    g = gcd(p, qh)
-    bscale, ascale = s // h * (p // g), qh // g
-    a_conjugates = [[(k * ascale, c * CycloRat.zeta(p, j * k) if j else c)
-                     for k, c in a.phi.terms] for j in range(g)]
-    for i in range(h):
-        base = {k * bscale: c * CycloRat.zeta(q, i * k) if i else c
-                for k, c in b.phi.terms}
-        for a_terms in a_conjugates:
-            terms = dict(base)
-            for kk, add in a_terms:
-                prev = terms.get(kk)
-                terms[kk] = add if prev is None else prev + add
-            yield terms
+def _conjugates(f: ElementaryModule, count: int, scale: int) -> list[dict]:
+    # The first `count` conjugates phi(zeta_ram^j * w**scale) of f's
+    # exponent as raw {exponent: coefficient} dicts; nothing is canonicalized.
+    return [{k * scale: c * CycloRat.zeta(f.ram, j * k) if j else c
+             for k, c in f.phi.terms} for j in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +391,37 @@ def psi_dim_twisted(module: FormalModule, twist: FormalModule, p: int) -> int:
     """psi_dim(tensor(module, pullback(p, twist)), p), computed directly.
 
     Equivalent to composing the three operations (asserted by the test
-    suite), but builds neither the pulled-back twist nor the tensor: only
-    exact exponent cancellation can produce a regular summand, so the
-    regular rank of the tensor is a sum of per-pair cancellation counts.
+    suite), but builds neither the pulled-back twist nor the tensor and adds
+    no coefficients: a summand of the tensor is regular exactly when its two
+    conjugate exponents are negatives of each other, so the regular rank is
+    a sum of per-pair counts of such conjugate pairs.
     """
+    # Per pair (a, b), pullback(p, b) splits into h = gcd(rb, p) conjugates
+    # of ramification q' = rb/h, and tensor splits each against a into
+    # g = gcd(ra, q') summands of rank lcm(ra, q') times the regular ranks,
+    # whose exponent is a conjugate of a's plus a pulled-back conjugate of
+    # b's.  Both splits are isomorphisms for any Galois representative and
+    # any ramification, reduced or not, so the summands are the composed
+    # route's up to relabelling and none needs canonicalizing: a summand is
+    # regular exactly when its exponent vanishes, that is when one conjugate
+    # is the other's negation term by term, and canonical CycloRats compare
+    # structurally.  Only equal slopes na/ra = p*nb/rb can cancel: otherwise
+    # the deeper pole survives in every summand.
     if p < 1:
         raise ValueError(f"nearby cycles need p >= 1, got {p}")
     total = 0
     factors = [(a, a.phi.pole_order, a.ram) for a in module.factors]
     for b in twist.factors:
         nb, rb = b.phi.pole_order, b.ram
-        qh = rb // gcd(rb, p)  # ramification of b's pulled-back conjugates
+        h = gcd(rb, p)
+        qh = rb // h  # ramification of b's pulled-back conjugates
         for a, na, ra in factors:
-            # Only equal slopes na/ra = p*nb/rb can cancel.  On the common
-            # cover of degree L the two exponents have pole orders na*L/ra
-            # and p*nb*L/rb; when these differ, the deeper pole survives in
-            # every conjugate sum and the pair adds 0.
             if na * rb == p * nb * ra:
-                cancelling = sum(1 for terms in _conjugate_sums(a, b, p)
-                                 if all(c.is_zero for c in terms.values()))
-                lcm = ra * qh // gcd(ra, qh)
-                total += cancelling * lcm * a.reg.rank * b.reg.rank
+                g = gcd(ra, qh)
+                negated = [{k: -c for k, c in psi.items()}
+                           for psi in _conjugates(b, h, p // h * (ra // g))]
+                cancelling = sum(map(negated.count, _conjugates(a, g, qh // g)))
+                total += cancelling * (ra // g * qh) * a.reg.rank * b.reg.rank
     return p * total
 
 
@@ -602,6 +587,9 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     claimed = nearby_slopes(module, p, verify=False)
     members = tuple(_witnesses(module, p, claimed))
 
+    # An exhaustion failure replays on the same grid.
+    bounds = ("" if (ram_bound, ord_bound) == (DEFAULT_RAM_BOUND, DEFAULT_ORD_BOUND)
+              else f" --ram-bound {ram_bound} --ord-bound {ord_bound}")
     nonmembers = []
     for r in sorted(candidate_slope_grid(ram_bound, ord_bound) - claimed):
         checked = 0
@@ -612,7 +600,7 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
                 raise FalsificationError(
                     f"slope {r} was predicted absent (p={p}) but twist "
                     f"{_expr(twist)} gives nearby-cycle dimension "
-                    f"{dim}; {_replay(module, p)}")
+                    f"{dim}; {_replay(module, p)}{bounds}")
             checked += 1
         nonmembers.append(ExhaustionRecord(r, checked))
     return NearbyCertificate(p, ram_bound, ord_bound,

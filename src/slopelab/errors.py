@@ -1,5 +1,7 @@
 """Exception types shared across the engine."""
 
+import json
+
 
 class SlopelabError(Exception):
     """Base class for engine errors."""
@@ -33,3 +35,11 @@ class ScriptError(SlopelabError):
         self.step = step
         prefix = f"step {step}: " if step is not None else ""
         super().__init__(f"{prefix}{message}")
+
+
+def json_int(value, field: str) -> int:
+    """int(value) for an integer field of a model or script; a JSON float or
+    boolean, which int() would truncate, is refused naming the field."""
+    if isinstance(value, (bool, float)):
+        raise ScriptError(f"{field} must be an integer, got {json.dumps(value)}")
+    return int(value)

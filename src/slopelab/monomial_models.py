@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from slopelab.elementary import FormalModule, RegularPart, make_elementary
-from slopelab.errors import ScriptError
+from slopelab.errors import ScriptError, json_int
 from slopelab.exact_algebra import MultiIndex
 
 
@@ -246,7 +246,7 @@ def format_rat(value: Fraction) -> str:
 
 def model_from_dict(data: dict) -> GoodModel:
     try:
-        dim = int(data["dim"])
+        dim = json_int(data["dim"], "'dim'")
         raw_factors = data["factors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ScriptError(f"model file needs integer 'dim' and 'factors': {exc}")
@@ -257,9 +257,10 @@ def model_from_dict(data: dict) -> GoodModel:
         if not isinstance(raw, Mapping):
             raise ScriptError(f"factor {idx}: expected an object, got {raw!r}")
         try:
-            pole = MultiIndex(tuple(int(e) for e in raw["pole"]))
+            pole = MultiIndex(json_int(e, f"factor {idx}: 'pole' entry")
+                              for e in raw["pole"])
             twist = tuple(_parse_rat(t) for t in raw.get("twist", [0] * dim))
-            rank = int(raw.get("rank", 1))
+            rank = json_int(raw.get("rank", 1), f"factor {idx}: 'rank'")
         except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"factor {idx}: {exc}")
         factors.append(ModelFactor(pole, twist, rank))

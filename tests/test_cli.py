@@ -120,28 +120,80 @@ def assert_clean_error(code, err, *words):
 _SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}}
 
 
-@pytest.mark.parametrize("steps, words", [
-    ([1], ("step 1", "JSON object")),
-    ([{"center": ["D1", "D2"]}, "D1"], ("step 2", "JSON object")),
-    ({"center": ["D1", "D2"]}, ("'steps' must be a list",)),
-    ([{"center": 5}], ("step 1", "malformed step")),
+# Each case overrides fields of _SCRIPT; explicit ids keep the names of the
+# first four cases stable.
+@pytest.mark.parametrize("fields, words", [
+    pytest.param({"steps": [1]}, ("step 1", "JSON object"), id="steps0-words0"),
+    pytest.param({"steps": [{"center": ["D1", "D2"]}, "D1"]},
+                 ("step 2", "JSON object"), id="steps1-words1"),
+    pytest.param({"steps": {"center": ["D1", "D2"]}},
+                 ("'steps' must be a list",), id="steps2-words2"),
+    pytest.param({"steps": [{"center": 5}]}, ("step 1", "malformed step"),
+                 id="steps3-words3"),
+    # Integer fields refuse JSON floats and booleans instead of truncating.
+    ({"dim": 2.0}, ("'dim' must be an integer", "2.0")),
+    ({"Z": {"a": [1.9, 1]}}, ("'Z.a' entry", "1.9")),
+    ({"Z": {"a": [1, True]}}, ("'Z.a' entry", "true")),
+    ({"mode": "abstract", "steps": [{"alpha": [1.5, 0], "epsS": [1], "epsE": []}]},
+     ("step 1", "'alpha' entry", "1.5")),
+    ({"mode": "abstract", "steps": [{"alpha": [1, 0], "epsS": [True], "epsE": []}]},
+     ("step 1", "'epsS' entry", "true")),
+    ({"mode": "abstract", "steps": [{"alpha": [1, 0], "epsS": [1], "epsE": [0.0]}]},
+     ("step 1", "'epsE' entry", "0.0")),
 ])
-def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, steps, words):
+def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script = tmp_path / "s.blowup"
-    script.write_text(json.dumps(dict(_SCRIPT, steps=steps)))
+    script.write_text(json.dumps({**_SCRIPT, "steps": [], **fields}))
     code, _, err = run(capsys, "blowup", "-s", str(script), "--verify")
     assert_clean_error(code, err, *words)
 
 
-@pytest.mark.parametrize("factors, words", [
-    (5, ("list of 'factors'",)),
-    ([{"pole": [1, 0]}, 7], ("factor 1", "expected an object")),
+# Each case overrides fields of a one-factor model; explicit ids keep the
+# names of the first two cases stable.
+@pytest.mark.parametrize("fields, words", [
+    pytest.param({"factors": 5}, ("list of 'factors'",), id="5-words0"),
+    pytest.param({"factors": [{"pole": [1, 0]}, 7]},
+                 ("factor 1", "expected an object"), id="factors1-words1"),
+    ({"dim": 2.0}, ("'dim' must be an integer", "2.0")),
+    ({"dim": True}, ("'dim' must be an integer", "true")),
+    ({"factors": [{"pole": [2.9, 3]}]}, ("factor 0", "'pole' entry", "2.9")),
+    ({"factors": [{"pole": [False, 1]}]}, ("factor 0", "'pole' entry", "false")),
+    ({"factors": [{"pole": [1, 0], "rank": 1.5}]}, ("factor 0", "'rank'", "1.5")),
 ])
-def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, factors, words):
+def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
-    model.write_text(json.dumps({"dim": 2, "factors": factors}))
+    model.write_text(json.dumps({"dim": 2, "factors": [{"pole": [1, 0]}], **fields}))
     code, _, err = run(capsys, "bound", "-m", str(model), "-f", "x1")
     assert_clean_error(code, err, *words)
+
+
+def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text(json.dumps({"dim": 5, "factors": [{"pole": [2, 3, 0, 0, 1]}]}))
+    code, out, _ = run(capsys, "bound", "-m", str(model), "-f", "x1*x2")
+    assert code == 0
+    curves = [line for line in out.splitlines() if line.startswith("curve ")]
+    assert len(curves) == 4
+    assert curves[2].startswith("curve (2, 1, 3, 1, 2):")
+
+
+# Stdout of high-conductor queries: El(600) is certified through a twist of
+# ramification 1200, and the spelling of every root of unity must not drift.
+@pytest.mark.parametrize("argv, expected", [
+    (("nearby", "-e", "El(600,u^-1,rank=1)", "-p", "2", "--cert"),
+     "nearby slopes along x^2: 1/1200\n"
+     "  slope 1/1200: witness El(1200, -u^-1, rank=1) gives nearby-cycle "
+     "dimension 1200\n"
+     "  certified absent (ram <= 12, pole order <= 24): 182 slopes, "
+     "762 twists checked\n"),
+    (("slopes", "-e", "El(210,u^-1,rank=1)"),
+     "expr: El(210, -u^-1, rank=1)\nrank: 210\nslopes: 1/210:210\n"
+     "irregularity: 1\n"),
+])
+def test_high_conductor_stdout_is_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_bound_zero_denominator_exits_1(tmp_path, capsys):

@@ -26,12 +26,11 @@ from slopelab.elementary import (
     pullback,
     pushforward,
     regular_module,
-    regular_rank,
     slopes,
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _conjugate_sums, _galois_canonical
+from slopelab.elementary import _galois_canonical
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.expr import module_to_expr, parse_and_eval
@@ -236,6 +235,8 @@ def test_falsified_exhaustion_names_the_twist_and_replay(monkeypatch):
     _replayable(message, m, 2)
     twist = message.split("but twist ")[1].split(" gives")[0]
     assert not parse_and_eval(twist).is_zero
+    # The replay reruns the exhaustion on the same grid.
+    assert message.endswith("--cert --ram-bound 2 --ord-bound 2")
 
 
 def test_witness_twist_examples():
@@ -287,10 +288,10 @@ def test_cyclotomic_coefficients_flow_through_the_calculus():
 
 
 def test_conjugate_sum_count_matches_the_canonical_route():
-    # Oracle for the conjugate-sum kernel: counting the vanishing sums of
-    # a tensor pullback(s, b) must agree with canonicalizing the pullback and
-    # the tensor and reading the regular rank.  Every odd draw pairs its
-    # factor with its witness twist, so cancellation really occurs at s = p.
+    # Oracle for counting cancelling conjugate pairs: psi_dim_twisted must
+    # agree with canonicalizing the pullback and the tensor and reading the
+    # regular rank.  Every odd draw pairs its factor with its witness twist,
+    # so cancellation really occurs at s = p.
     rng = random.Random(2024)
     z3, z4 = CycloRat.zeta(3), CycloRat.zeta(4)
     coeffs = (F(1), F(-2), F(1, 3), z3, -z4, z3 + 2 * z4)
@@ -313,26 +314,21 @@ def test_conjugate_sum_count_matches_the_canonical_route():
             pairs.append((a, random_factor()))
     cancelling = 0
     for a, b in pairs:
+        m, n = FormalModule.of([a]), FormalModule.of([b])
         for s in (1, 2, 3):
-            sums = list(_conjugate_sums(a, b, s))
-            qh = b.ram // gcd(b.ram, s)
-            assert len(sums) == gcd(b.ram, s) * gcd(a.ram, qh)
-            count = sum(all(c.is_zero for c in t.values()) for t in sums)
-            lcm = a.ram * qh // gcd(a.ram, qh)
-            fast = count * lcm * a.reg.rank * b.reg.rank
-            oracle = tensor(FormalModule.of([a]),
-                            pullback(s, FormalModule.of([b])))
-            assert fast == regular_rank(oracle), (a, b, s)
+            fast = psi_dim_twisted(m, n, s)
+            assert fast == psi_dim(tensor(m, pullback(s, n)), s), (a, b, s)
             cancelling += fast > 0
     assert cancelling >= 20
 
 
 def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
     # Count the pairs psi_dim_twisted visits by replaying its loop; the
-    # conjugate-sum kernel must be asked about exactly the equal-slope ones.
+    # conjugates must be listed for exactly the equal-slope ones, once for
+    # each side of the pair.
     visited = {"all": 0, "equal": 0, "kernel": 0}
     original = _ELEMENTARY.psi_dim_twisted
-    kernel = _ELEMENTARY._conjugate_sums
+    kernel = _ELEMENTARY._conjugates
 
     def counting(module, twist, p):
         for b in twist.factors:
@@ -341,12 +337,12 @@ def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
                 visited["equal"] += a.slope == p * b.slope
         return original(module, twist, p)
 
-    def counting_kernel(a, b, s):
+    def counting_kernel(f, count, scale):
         visited["kernel"] += 1
-        return kernel(a, b, s)
+        return kernel(f, count, scale)
 
     monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", counting)
-    monkeypatch.setattr(_ELEMENTARY, "_conjugate_sums", counting_kernel)
+    monkeypatch.setattr(_ELEMENTARY, "_conjugates", counting_kernel)
     rng = random.Random(47)
     m = random_formal_module(rng)
     while len(slopes(m)) < 3:
@@ -355,14 +351,14 @@ def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
     nearby_slopes(m, 2)
     witnessed = visited["equal"]
     assert 0 < witnessed < visited["all"]
-    assert visited["kernel"] == witnessed
+    assert visited["kernel"] == 2 * witnessed
     # A certificate checks its members with the same witnesses; the
     # exhaustion checks only slopes the module lacks, so it adds no
     # equal-slope pair and no kernel call.
     visited.update(all=0, equal=0, kernel=0)
     certify_nearby_slopes(m, 2)
     assert visited["all"] > witnessed and visited["equal"] == witnessed
-    assert visited["kernel"] == witnessed
+    assert visited["kernel"] == 2 * witnessed
 
 
 def test_certificate_members_match_the_composed_route(monkeypatch):
