@@ -14,16 +14,20 @@ Grammar (whitespace-insensitive, `+` has the lowest precedence)::
     atom    := INT ['/' INT] | 'zeta' '(' INT ')' ['^' sint]
              | 'u' ['^' sint] | '(' phi ')'
 
-Parsing keeps source locations for diagnostics; printing emits canonical
-text, and print-parse-print is the identity on everything the tool itself
-prints.
+There is no syntax tree.  Each production returns a zero-argument callable
+that runs its module operation (El, Reg, dual, tensor, pull, push, sum) on
+its children's results, so `parse_module` checks the whole text, raising
+`ExpressionError` at the offending line and column, and runs no module
+operation; `parse_and_eval` calls what it returns.  `module_to_expr` prints
+a canonical module as text that parses back to the same module and prints
+the same text again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from slopelab.elementary import (
     FormalModule,
@@ -36,6 +40,9 @@ from slopelab.elementary import (
 )
 from slopelab.errors import ExpressionError
 from slopelab.exact_algebra import CycloRat
+
+# What every module production returns: the deferred engine call.
+Deferred = Callable[[], FormalModule]
 
 
 # ---------------------------------------------------------------------------
@@ -93,68 +100,6 @@ def _tokenize(text: str) -> Iterator[Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST.
-# ---------------------------------------------------------------------------
-
-class ModuleExpr:
-    """Base class of expression nodes."""
-
-
-@dataclass(frozen=True)
-class ZeroNode(ModuleExpr):
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class RegNode(ModuleExpr):
-    rank: int
-    exps: Optional[tuple[Fraction, ...]]
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class ElNode(ModuleExpr):
-    ram: int
-    phi: tuple[tuple[int, CycloRat], ...]  # evaluated Laurent terms, ascending
-    rank: int
-    exps: Optional[tuple[Fraction, ...]]
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class SumNode(ModuleExpr):
-    parts: tuple[ModuleExpr, ...]
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class DualNode(ModuleExpr):
-    arg: ModuleExpr
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class TensorNode(ModuleExpr):
-    left: ModuleExpr
-    right: ModuleExpr
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class PullNode(ModuleExpr):
-    degree: int
-    arg: ModuleExpr
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-@dataclass(frozen=True)
-class PushNode(ModuleExpr):
-    degree: int
-    arg: ModuleExpr
-    loc: tuple[int, int] = field(default=(1, 1), compare=False)
-
-
-# ---------------------------------------------------------------------------
 # Parser.
 # ---------------------------------------------------------------------------
 
@@ -184,16 +129,24 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, symbols: str) -> Optional[Token]:
+        """Consume the next token if it is one of the one-character
+        `symbols`, and return it; otherwise return None."""
+        tok = self.peek()
+        if tok.kind == "SYMBOL" and tok.text in symbols:
+            return self.next()
+        return None
+
     def error(self, message: str, tok: Token | None = None, expected=None):
         tok = tok or self.peek()
         raise ExpressionError(message, tok.line, tok.column, expected)
 
     def expect_symbol(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "SYMBOL" or tok.text != sym:
-            self.error(f"unexpected {tok.text or 'end of input'!r}",
+        tok = self.accept(sym)
+        if tok is None:
+            self.error(f"unexpected {self.peek().text or 'end of input'!r}",
                        expected=[repr(sym)])
-        return self.next()
+        return tok
 
     def expect_int(self) -> tuple[int, Token]:
         tok = self.peek()
@@ -204,30 +157,27 @@ class _Parser:
 
     # -- module level -------------------------------------------------------
 
-    def parse_module(self) -> ModuleExpr:
-        node = self.parse_sum()
+    def parse_module(self) -> Deferred:
+        build = self.parse_sum()
         tok = self.peek()
         if tok.kind != "EOF":
             self.error(f"trailing input {tok.text!r}", expected=["'+'", "end of input"])
-        return node
+        return build
 
-    def parse_sum(self) -> ModuleExpr:
-        first = self.parse_term()
-        parts = [first]
-        while self.peek().kind == "SYMBOL" and self.peek().text == "+":
-            self.next()
+    def parse_sum(self) -> Deferred:
+        parts = [self.parse_term()]
+        while self.accept("+"):
             parts.append(self.parse_term())
         if len(parts) == 1:
-            return first
-        return SumNode(tuple(parts), loc=first.loc if hasattr(first, "loc") else (1, 1))
+            return parts[0]
+        return lambda: sum((part() for part in parts), FormalModule.zero())
 
-    def parse_term(self) -> ModuleExpr:
+    def parse_term(self) -> Deferred:
         tok = self.peek()
         if tok.kind == "INT" and tok.text == "0":
             self.next()
-            return ZeroNode(loc=(tok.line, tok.column))
-        if tok.kind == "SYMBOL" and tok.text == "(":
-            self.next()
+            return FormalModule.zero
+        if self.accept("("):
             inner = self.parse_sum()
             self.expect_symbol(")")
             return inner
@@ -235,23 +185,34 @@ class _Parser:
             self.error(f"unexpected {tok.text or 'end of input'!r}",
                        expected=["El", "Reg", "dual", "tensor", "pull", "push", "0"])
         name = self.next().text
-        loc = (tok.line, tok.column)
         if name == "El":
-            return self.parse_el(loc)
+            self.expect_symbol("(")
+            ram, rtok = self.expect_int()
+            if ram < 1:
+                self.error("ramification must be >= 1", rtok)
+            self.expect_symbol(",")
+            phi = self.parse_phi()
+            self.expect_symbol(",")
+            rank, exps = self.parse_kwargs()
+            self.expect_symbol(")")
+            return lambda: elementary(ram, phi, rank=rank, exponents=exps)
         if name == "Reg":
-            return self.parse_reg(loc)
+            self.expect_symbol("(")
+            rank, exps = self.parse_kwargs()
+            self.expect_symbol(")")
+            return lambda: regular_module(rank, exponents=exps)
         if name == "dual":
             self.expect_symbol("(")
             arg = self.parse_sum()
             self.expect_symbol(")")
-            return DualNode(arg, loc=loc)
+            return lambda: dual(arg())
         if name == "tensor":
             self.expect_symbol("(")
             left = self.parse_sum()
             self.expect_symbol(",")
             right = self.parse_sum()
             self.expect_symbol(")")
-            return TensorNode(left, right, loc=loc)
+            return lambda: tensor(left(), right())
         if name in ("pull", "push"):
             self.expect_symbol("(")
             degree, dtok = self.expect_int()
@@ -260,28 +221,11 @@ class _Parser:
             self.expect_symbol(",")
             arg = self.parse_sum()
             self.expect_symbol(")")
-            cls = PullNode if name == "pull" else PushNode
-            return cls(degree, arg, loc=loc)
+            if name == "pull":
+                return lambda: pullback(degree, arg())
+            return lambda: pushforward(degree, arg())
         self.error(f"unknown operation {name!r}", tok,
                    expected=["El", "Reg", "dual", "tensor", "pull", "push"])
-
-    def parse_el(self, loc) -> ElNode:
-        self.expect_symbol("(")
-        ram, rtok = self.expect_int()
-        if ram < 1:
-            self.error("ramification must be >= 1", rtok)
-        self.expect_symbol(",")
-        phi = self.parse_phi()
-        self.expect_symbol(",")
-        rank, exps = self.parse_kwargs()
-        self.expect_symbol(")")
-        return ElNode(ram, phi, rank, exps, loc=loc)
-
-    def parse_reg(self, loc) -> RegNode:
-        self.expect_symbol("(")
-        rank, exps = self.parse_kwargs()
-        self.expect_symbol(")")
-        return RegNode(rank, exps, loc=loc)
 
     def parse_kwargs(self) -> tuple[int, Optional[tuple[Fraction, ...]]]:
         tok = self.peek()
@@ -294,8 +238,7 @@ class _Parser:
         if rank < 1:
             self.error("rank must be >= 1", rtok)
         exps = None
-        if self.peek().kind == "SYMBOL" and self.peek().text == ",":
-            self.next()
+        if self.accept(","):
             tok = self.peek()
             if tok.kind != "NAME" or tok.text != "exp":
                 self.error(f"unexpected {tok.text or 'end of input'!r}",
@@ -310,63 +253,42 @@ class _Parser:
     def parse_rat_list(self) -> tuple[Fraction, ...]:
         self.expect_symbol("[")
         out = []
-        if not (self.peek().kind == "SYMBOL" and self.peek().text == "]"):
+        if self.peek().text != "]":
             out.append(self.parse_signed_rational())
-            while self.peek().kind == "SYMBOL" and self.peek().text == ",":
-                self.next()
+            while self.accept(","):
                 out.append(self.parse_signed_rational())
         self.expect_symbol("]")
         return tuple(out)
 
     def parse_signed_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "SYMBOL" and self.peek().text == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         num, _ = self.expect_int()
         den = 1
-        if self.peek().kind == "SYMBOL" and self.peek().text == "/":
-            self.next()
+        if self.accept("/"):
             den, dtok = self.expect_int()
             if den == 0:
                 self.error("zero denominator", dtok)
         return Fraction(sign * num, den)
 
     # -- phi level ----------------------------------------------------------
+    # A Laurent polynomial is a {power of u: coefficient} dict; zero and
+    # holomorphic terms are left in, since `elementary` drops them.
 
-    def parse_phi(self) -> tuple[tuple[int, CycloRat], ...]:
-        laurent = self.parse_phi_expr()
-        return tuple(sorted((k, c) for k, c in laurent.items() if not c.is_zero))
-
-    def parse_phi_expr(self) -> dict[int, CycloRat]:
-        sign = 1
-        if self.peek().kind == "SYMBOL" and self.peek().text in "+-":
-            if self.next().text == "-":
-                sign = -1
-        total = self._scaled(self.parse_phi_term(), sign)
-        while self.peek().kind == "SYMBOL" and self.peek().text in "+-":
-            op = self.next().text
-            term = self.parse_phi_term()
-            total = self._combine(total, self._scaled(term, -1 if op == "-" else 1))
-        return total
-
-    @staticmethod
-    def _scaled(laurent: dict[int, CycloRat], sign: int) -> dict[int, CycloRat]:
-        if sign == 1:
-            return laurent
-        return {k: -c for k, c in laurent.items()}
-
-    @staticmethod
-    def _combine(a: dict[int, CycloRat], b: dict[int, CycloRat]) -> dict[int, CycloRat]:
-        out = dict(a)
-        for k, c in b.items():
-            out[k] = out[k] + c if k in out else c
-        return out
+    def parse_phi(self) -> dict[int, CycloRat]:
+        total: dict[int, CycloRat] = {}
+        sign = self.accept("+-")
+        while True:
+            for k, c in self.parse_phi_term().items():
+                if sign is not None and sign.text == "-":
+                    c = -c
+                total[k] = total[k] + c if k in total else c
+            sign = self.accept("+-")
+            if sign is None:
+                return total
 
     def parse_phi_term(self) -> dict[int, CycloRat]:
         product = self.parse_phi_atom()
-        while self.peek().kind == "SYMBOL" and self.peek().text == "*":
-            self.next()
+        while self.accept("*"):
             nxt = self.parse_phi_atom()
             out: dict[int, CycloRat] = {}
             for k1, c1 in product.items():
@@ -382,18 +304,13 @@ class _Parser:
         if tok.kind == "INT":
             value = self.parse_signed_rational()  # sign impossible here; reuse
             return {0: CycloRat.from_rational(value)}
-        if tok.kind == "SYMBOL" and tok.text == "(":
-            self.next()
-            inner = self.parse_phi_expr()
+        if self.accept("("):
+            inner = self.parse_phi()
             self.expect_symbol(")")
             return inner
         if tok.kind == "NAME" and tok.text == "u":
             self.next()
-            power = 1
-            if self.peek().kind == "SYMBOL" and self.peek().text == "^":
-                self.next()
-                power = self.parse_signed_int()
-            return {power: CycloRat.from_rational(1)}
+            return {self.parse_power(): CycloRat.from_rational(1)}
         if tok.kind == "NAME" and tok.text == "zeta":
             self.next()
             self.expect_symbol("(")
@@ -401,59 +318,28 @@ class _Parser:
             if order < 1:
                 self.error("root-of-unity order must be >= 1", otok)
             self.expect_symbol(")")
-            power = 1
-            if self.peek().kind == "SYMBOL" and self.peek().text == "^":
-                self.next()
-                power = self.parse_signed_int()
-            return {0: CycloRat.zeta(order, power)}
+            return {0: CycloRat.zeta(order, self.parse_power())}
         self.error(f"unexpected {tok.text or 'end of input'!r}",
                    expected=["a rational", "zeta(...)", "u", "'('"])
 
-    def parse_signed_int(self) -> int:
-        sign = 1
-        if self.peek().kind == "SYMBOL" and self.peek().text == "-":
-            self.next()
-            sign = -1
+    def parse_power(self) -> int:
+        """The optional `^ sint` after `u` or `zeta(n)`; 1 when absent."""
+        if not self.accept("^"):
+            return 1
+        sign = -1 if self.accept("-") else 1
         value, _ = self.expect_int()
         return sign * value
 
 
-def parse_module(text: str) -> ModuleExpr:
-    """Parse a module expression into its AST (or raise ExpressionError)."""
+def parse_module(text: str) -> Deferred:
+    """Parse a module expression (or raise ExpressionError) into a
+    zero-argument callable that builds the module.  No module operation runs
+    until it is called."""
     return _Parser(text).parse_module()
 
 
-# ---------------------------------------------------------------------------
-# Evaluation.
-# ---------------------------------------------------------------------------
-
-def evaluate(node: ModuleExpr) -> FormalModule:
-    """Evaluate an AST to a canonical formal module."""
-    if isinstance(node, ZeroNode):
-        return FormalModule.zero()
-    if isinstance(node, RegNode):
-        return regular_module(node.rank, exponents=node.exps)
-    if isinstance(node, ElNode):
-        return elementary(node.ram, dict(node.phi), rank=node.rank,
-                          exponents=node.exps)
-    if isinstance(node, SumNode):
-        out = FormalModule.zero()
-        for part in node.parts:
-            out = out + evaluate(part)
-        return out
-    if isinstance(node, DualNode):
-        return dual(evaluate(node.arg))
-    if isinstance(node, TensorNode):
-        return tensor(evaluate(node.left), evaluate(node.right))
-    if isinstance(node, PullNode):
-        return pullback(node.degree, evaluate(node.arg))
-    if isinstance(node, PushNode):
-        return pushforward(node.degree, evaluate(node.arg))
-    raise TypeError(f"not a module expression node: {node!r}")
-
-
 def parse_and_eval(text: str) -> FormalModule:
-    return evaluate(parse_module(text))
+    return parse_module(text)()
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +364,7 @@ def _phi_term_str(k: int, c: CycloRat) -> tuple[bool, str]:
 
 
 def phi_to_str(terms) -> str:
-    terms = sorted(terms)
-    if not terms:
-        return "0"
+    """Render nonempty ascending (power, coefficient) terms as phi text."""
     rendered = [_phi_term_str(k, c) for k, c in terms]
     neg, body = rendered[0]
     out = ("-" if neg else "") + body
@@ -489,42 +373,15 @@ def phi_to_str(terms) -> str:
     return out
 
 
-def _exp_suffix(exps: Optional[tuple[Fraction, ...]]) -> str:
-    if exps is None:
-        return ""
-    return ", exp=[" + ", ".join(str(e) for e in exps) + "]"
-
-
-def print_ast(node: ModuleExpr) -> str:
-    """Canonical rendering of an AST; parse(print_ast(n)) == n."""
-    if isinstance(node, ZeroNode):
-        return "0"
-    if isinstance(node, RegNode):
-        return f"Reg(rank={node.rank}{_exp_suffix(node.exps)})"
-    if isinstance(node, ElNode):
-        return (f"El({node.ram}, {phi_to_str(node.phi)}, "
-                f"rank={node.rank}{_exp_suffix(node.exps)})")
-    if isinstance(node, SumNode):
-        return " + ".join(print_ast(p) for p in node.parts)
-    if isinstance(node, DualNode):
-        return f"dual({print_ast(node.arg)})"
-    if isinstance(node, TensorNode):
-        return f"tensor({print_ast(node.left)}, {print_ast(node.right)})"
-    if isinstance(node, PullNode):
-        return f"pull({node.degree}, {print_ast(node.arg)})"
-    if isinstance(node, PushNode):
-        return f"push({node.degree}, {print_ast(node.arg)})"
-    raise TypeError(f"not a module expression node: {node!r}")
-
-
 def module_to_expr(module: FormalModule) -> str:
     """Render a canonical formal module as parseable expression text."""
     if module.is_zero:
         return "0"
     parts = []
     for f in module.factors:
-        exps = tuple(f.reg.exponent_list())
-        suffix = "" if all(e == 0 for e in exps) else _exp_suffix(exps)
+        exps = f.reg.exponent_list()
+        suffix = ("" if all(e == 0 for e in exps)
+                  else ", exp=[" + ", ".join(str(e) for e in exps) + "]")
         if f.is_regular:
             parts.append(f"Reg(rank={f.reg.rank}{suffix})")
         else:

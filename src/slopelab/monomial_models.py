@@ -118,6 +118,11 @@ class MonomialFunction:
     def support(self) -> tuple[int, ...]:
         return self.exponents.support
 
+    def __str__(self) -> str:
+        """The `-f` text of `slopelab bound`, e.g. x1*x3^2."""
+        return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                        for i, e in enumerate(self.exponents.entries) if e)
+
 
 class VanishingRule(Enum):
     """Which sufficient criterion certified the vanishing verdict."""
@@ -229,15 +234,19 @@ def curve_restriction(model: GoodModel, curve: MultiIndex,
 # Model files (JSON; rationals as "num/den" strings in lowest terms).
 # ---------------------------------------------------------------------------
 
-def _parse_rat(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
+def _parse_rat(value, field: str) -> Fraction:
+    """A rational field: a JSON integer or a "num/den" string.  A JSON
+    boolean or float, which Fraction() would take, is refused naming the
+    field."""
+    if isinstance(value, str):
         try:
-            return Fraction(text.strip())
+            return Fraction(value.strip())
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    raise ScriptError(f"expected an exact rational string, got {text!r}")
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ScriptError(f"{field} must be an integer or a rational string, "
+                      f"got {json.dumps(value)}")
 
 
 def format_rat(value: Fraction) -> str:
@@ -259,7 +268,8 @@ def model_from_dict(data: dict) -> GoodModel:
         try:
             pole = MultiIndex(json_int(e, f"factor {idx}: 'pole' entry")
                               for e in raw["pole"])
-            twist = tuple(_parse_rat(t) for t in raw.get("twist", [0] * dim))
+            twist = tuple(_parse_rat(t, f"factor {idx}: 'twist' entry")
+                          for t in raw.get("twist", [0] * dim))
             rank = json_int(raw.get("rank", 1), f"factor {idx}: 'rank'")
         except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"factor {idx}: {exc}")

@@ -10,6 +10,7 @@ it into exit code 2.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +37,7 @@ from slopelab.elementary import (
 )
 from slopelab.errors import FalsificationError, SlopelabError
 from slopelab.exact_algebra import CycloRat, MultiIndex, RamifiedExponent, euler_phi
-from slopelab.expr import module_to_expr, parse_and_eval, parse_module, print_ast
+from slopelab.expr import module_to_expr, parse_and_eval
 from slopelab.monomial_models import (
     GoodModel,
     ModelFactor,
@@ -44,6 +45,7 @@ from slopelab.monomial_models import (
     curve_restriction,
     highest_generic_slopes,
     lemma_vanishing,
+    model_to_dict,
     nearby_slope_bound,
     vanishing_threshold,
 )
@@ -74,14 +76,24 @@ class SuiteResult:
         return not self.failures
 
 
+def _describe(value) -> str:
+    # An input as the text its command reads: a model as the JSON of
+    # `slopelab bound -m`, a monomial as `-f` text, a module as `-e` text.
+    if isinstance(value, GoodModel):
+        return f"model: {json.dumps(model_to_dict(value))}"
+    if isinstance(value, MonomialFunction):
+        return f"f: {value}"
+    return f"module: {module_to_expr(value)}"
+
+
 def _record(result: SuiteResult, condition: bool, case: int, what: str,
-            *modules: FormalModule):
-    # A failure names its case and, in the module checks, the inputs as
-    # expression text; the caller adds the seed or corpus and the replay
-    # command.  The text is rendered only on failure.
+            *inputs):
+    # A failure names its case and its inputs (`_describe`); the caller adds
+    # the seed or corpus and the replay command.  The text is rendered only
+    # on failure.
     if not condition and len(result.failures) < 10:
-        inputs = "".join(f"; module: {module_to_expr(m)}" for m in modules)
-        result.failures.append(f"case {case}: {what}{inputs}")
+        described = "".join(f"; {_describe(x)}" for x in inputs)
+        result.failures.append(f"case {case}: {what}{described}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +288,13 @@ def check_monomial_models(cases) -> SuiteResult:
         div = highest_generic_slopes(model)
         for f in model.factors:
             _record(res, all(div[j] >= f.pole[j] for j in range(model.dim)),
-                    i, "divisor dominates factors")
+                    i, "divisor dominates factors", model)
         for extra in extras:
             if extra.dim == model.dim:
                 grown = highest_generic_slopes(
                     GoodModel(model.dim, model.factors + extra.factors))
                 _record(res, all(grown[j] >= div[j] for j in range(model.dim)),
-                        i, "monotonicity")
+                        i, "monotonicity (second model added)", model, extra)
         bound = nearby_slope_bound(model)
         support = set(model.pole_support)
         # Mediant inequality, exact in integers: <r, c> / <a, c> <= threshold
@@ -292,17 +304,17 @@ def check_monomial_models(cases) -> SuiteResult:
         for f in fs:
             a = f.exponents.entries
             thr = vanishing_threshold(model, f)
-            _record(res, thr.value <= bound, i, f"threshold below bound (a={a})")
+            _record(res, thr.value <= bound, i, "threshold below bound", model, f)
             if not support:
-                _record(res, thr.value == 0, i, f"regular threshold (a={a})")
+                _record(res, thr.value == 0, i, "regular threshold", model, f)
             f_support = set(f.support)
             if f_support <= support:
-                _record(res, thr.criterion_applicable, i, f"applicability (a={a})")
+                _record(res, thr.criterion_applicable, i, "applicability", model, f)
             if support <= f_support:
                 num, den = thr.value.numerator, thr.value.denominator
                 _record(res, all(den * r_c <= num * sum(map(mul, a, c))
                                  for r_c, c in zip(r_dots, curves)),
-                        i, f"mediant (a={a})")
+                        i, "mediant", model, f)
         for f, curve in samples:
             restricted, k = curve_restriction(model, curve, f)
             near = nearby_slopes(restricted, k)
@@ -310,24 +322,28 @@ def check_monomial_models(cases) -> SuiteResult:
             predicted = {F(d, k) for d in depths if d}
             if regular_rank(restricted):
                 predicted.add(F(0))
-            _record(res, near == predicted, i, "restricted nearby slopes",
-                    restricted)
+            _record(res, near == predicted, i,
+                    f"restricted nearby slopes (curve {curve.entries})",
+                    model, f, restricted)
             thr = vanishing_threshold(model, f)
             _record(res, all(s <= thr.value for s in near), i,
-                    "restricted slope bound", restricted)
+                    f"restricted slope bound (curve {curve.entries})",
+                    model, f, restricted)
         # Whenever a sufficient vanishing criterion fires, the twisted factor
         # has positive slope along every admissible curve.
         for a, b, curve in lemmas:
             f = MonomialFunction(a)
             if lemma_vanishing(b, a, f) is None:
                 continue
-            combined = MultiIndex([max(x, y) for x, y in zip(a, b)])
-            restricted, k = curve_restriction(
-                GoodModel(len(a), [ModelFactor(combined)]), curve, f)
+            combined = GoodModel(
+                len(a), [ModelFactor([max(x, y) for x, y in zip(a, b)])])
+            restricted, k = curve_restriction(combined, curve, f)
             _record(res, all(s > 0 for s in slopes(restricted)), i,
-                    "lemma cross-oracle", restricted)
+                    f"lemma cross-oracle (curve {curve.entries})",
+                    combined, f, restricted)
             _record(res, psi_dim(restricted, k) == 0, i,
-                    f"lemma cross-oracle psi (k={k})", restricted)
+                    f"lemma cross-oracle psi (k={k}, curve {curve.entries})",
+                    combined, f, restricted)
     return res
 
 
@@ -360,9 +376,6 @@ def check_expression_round_trip(modules) -> SuiteResult:
         back = parse_and_eval(text)
         _record(res, back == m, i, "value round trip", m)
         _record(res, module_to_expr(back) == text, i, "canonical text", m)
-        ast = parse_module(text)
-        _record(res, print_ast(parse_module(print_ast(ast))) == print_ast(ast),
-                i, "print/parse/print", m)
     return res
 
 

@@ -16,7 +16,6 @@ from slopelab import selftest
 from slopelab.cli import main as cli_main
 from slopelab.elementary import (
     certify_nearby_slopes,
-    elementary,
     psi_dim,
     psi_dim_twisted,
     pullback,
@@ -169,14 +168,10 @@ def test_criterion_7_blowup_sweep():
 def test_criterion_8_newton_oracle():
     """Polygon oracle agrees with the elementary representation on 100
     rank-1 twists (m <= 10) and the 10 golden higher-rank fixtures."""
-    count = 0
     cs = [F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(-1, 2),
           F(1), F(2), F(-3)]
-    for m in range(1, 11):
-        for c in cs:
-            op = sorted(exp_twist_operator(m, c).items())
-            assert slopes_from_operator(op) == slopes(elementary(1, {-m: 1}))
-            count += 1
+    cases = [(m, c, [exp_twist_operator(m, c)]) for m in range(1, 11) for c in cs]
+    count = _check(8, selftest.check_newton_polygon(cases)).cases
     assert count == 100
     for factors, module in GOLDEN_FIXTURES:
         assert slopes_from_operator(build_operator(factors)) == slopes(module)

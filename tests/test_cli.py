@@ -159,6 +159,10 @@ def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     ({"factors": [{"pole": [2.9, 3]}]}, ("factor 0", "'pole' entry", "2.9")),
     ({"factors": [{"pole": [False, 1]}]}, ("factor 0", "'pole' entry", "false")),
     ({"factors": [{"pole": [1, 0], "rank": 1.5}]}, ("factor 0", "'rank'", "1.5")),
+    ({"factors": [{"pole": [1, 0], "twist": [True, "0"]}]},
+     ("factor 0", "'twist' entry", "true")),
+    ({"factors": [{"pole": [1, 0], "twist": ["0", 0.5]}]},
+     ("factor 0", "'twist' entry", "0.5")),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
@@ -177,8 +181,9 @@ def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
     assert curves[2].startswith("curve (2, 1, 3, 1, 2):")
 
 
-# Stdout of high-conductor queries: El(600) is certified through a twist of
-# ramification 1200, and the spelling of every root of unity must not drift.
+# Pinned stdout.  El(600) is certified through a twist of ramification 1200,
+# and the spelling of every root of unity must not drift; the selftest's
+# report must not move when its checks are rewritten.
 @pytest.mark.parametrize("argv, expected", [
     (("nearby", "-e", "El(600,u^-1,rank=1)", "-p", "2", "--cert"),
      "nearby slopes along x^2: 1/1200\n"
@@ -189,6 +194,22 @@ def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
     (("slopes", "-e", "El(210,u^-1,rank=1)"),
      "expr: El(210, -u^-1, rank=1)\nrank: 210\nslopes: 1/210:210\n"
      "irregularity: 1\n"),
+    pytest.param(("selftest", "--cases", "10", "--seed", "7"),
+                 "seed 7, 10 cases per suite\n"
+                 "ok   cyclotomic-field-axioms\n"
+                 "ok   exponent-substitution\n"
+                 "ok   duality\n"
+                 "ok   pullback-pushforward\n"
+                 "ok   pushforward-nearby-inclusion [observed_equalities=10]\n"
+                 "ok   tensor-algebra\n"
+                 "ok   nearby-cycles\n"
+                 "ok   regularity-characterization\n"
+                 "ok   newton-polygon-oracle\n"
+                 "ok   monomial-models\n"
+                 "ok   blowup-chains\n"
+                 "ok   expression-round-trip\n"
+                 "selftest: all suites passed\n",
+                 id="selftest-cases10-seed7"),
 ])
 def test_high_conductor_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)

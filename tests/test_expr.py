@@ -14,14 +14,10 @@ from slopelab.elementary import (
     slopes,
 )
 from slopelab.elementary import tensor as tensor_of
+from slopelab import expr
 from slopelab.errors import ExpressionError
 from slopelab.exact_algebra import CycloRat
-from slopelab.expr import (
-    module_to_expr,
-    parse_and_eval,
-    parse_module,
-    print_ast,
-)
+from slopelab.expr import module_to_expr, parse_and_eval, parse_module
 from slopelab.randomgen import random_formal_module
 from slopelab.selftest import check_expression_round_trip
 
@@ -116,10 +112,81 @@ def test_print_parse_round_trip_on_asts():
         "0",
     ]
     for text in texts:
-        ast = parse_module(text)
-        printed = print_ast(ast)
-        assert parse_module(printed) == ast
-        assert print_ast(parse_module(printed)) == printed
+        module = parse_and_eval(text)
+        assert parse_and_eval(module_to_expr(module)) == module
+
+
+@pytest.fixture
+def no_module_operations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module operation ran")
+    for name in ("dual", "tensor", "pullback", "pushforward", "elementary",
+                 "regular_module"):
+        monkeypatch.setattr(expr, name, refuse)
+
+
+@pytest.mark.parametrize("text", [
+    "El(2, u^-3 + zeta(3)*u^-1, rank=1)",
+    "Reg(rank=2, exp=[0, 1/2])",
+    "dual(Reg(rank=1))",
+    "tensor(Reg(rank=1), Reg(rank=1))",
+    "pull(2, Reg(rank=1))",
+    "push(3, Reg(rank=1))",
+    "El(1, u^-1, rank=1) + (dual(tensor(pull(2, push(3, 0)), Reg(rank=1))))",
+])
+def test_parse_module_runs_no_module_operation(no_module_operations, text):
+    build = parse_module(text)
+    with pytest.raises(AssertionError, match="a module operation ran"):
+        build()
+
+
+# Every rejection of the language, then a syntax error right after each kind
+# of operation: the message, line and column come from the parser alone, and
+# no module operation runs before it.
+@pytest.mark.parametrize("text, message", [
+    ("Reg(rank=2, exp=[1/3])",
+     "exp lists 1 exponents for rank 2 at line 1, column 13"),
+    ("El(0, u^-1, rank=1)", "ramification must be >= 1 at line 1, column 4"),
+    ("Reg(rank=0)", "rank must be >= 1 at line 1, column 10"),
+    ("El(1, zeta(0)*u^-1, rank=1)",
+     "root-of-unity order must be >= 1 at line 1, column 12"),
+    ("pull(0, Reg(rank=1))", "pull degree must be >= 1 at line 1, column 6"),
+    ("push(0, Reg(rank=1))", "push degree must be >= 1 at line 1, column 6"),
+    ("El(2, u^-3 rank=1)",
+     "unexpected 'rank' at line 1, column 12 (expected ',')"),
+    ("El(2,\n  u^^3, rank=1)",
+     "unexpected '^' at line 2, column 5 (expected an integer)"),
+    ("Elt(1, u^-1, rank=1)", "unknown operation 'Elt' at line 1, column 1 "
+     "(expected El, Reg, dual, tensor, pull, push)"),
+    ("(" * 201 + "Reg(rank=1)" + ")" * 201,
+     "parentheses nested deeper than 200 at line 1, column 201"),
+    ("El(1, " + "(" * 200 + "u^-1" + ")" * 200 + ", rank=1)",
+     "parentheses nested deeper than 200 at line 1, column 206"),
+    ("tensor(El(1,u^-1,rank=1), El(0,u^-1,rank=1))",
+     "ramification must be >= 1 at line 1, column 30"),
+    ("El(1, u^-1, rank=1) +", "unexpected 'end of input' at line 1, column 22 "
+     "(expected El, Reg, dual, tensor, pull, push, 0)"),
+    ("Reg(rank=1) x",
+     "trailing input 'x' at line 1, column 13 (expected '+', end of input)"),
+    ("dual(El(1,u^-1,rank=1)) +", "unexpected 'end of input' at line 1, "
+     "column 26 (expected El, Reg, dual, tensor, pull, push, 0)"),
+    ("tensor(El(1,u^-1,rank=1), Reg(rank=1)) ,",
+     "trailing input ',' at line 1, column 40 (expected '+', end of input)"),
+    ("pull(2, El(1,u^-1,rank=1)) *",
+     "trailing input '*' at line 1, column 28 (expected '+', end of input)"),
+    ("push(2, El(1,u^-1,rank=1)) 7",
+     "trailing input '7' at line 1, column 28 (expected '+', end of input)"),
+    ("0 0", "trailing input '0' at line 1, column 3 (expected '+', end of input)"),
+    ("(Reg(rank=1)) )",
+     "trailing input ')' at line 1, column 15 (expected '+', end of input)"),
+    ("El(1, u^-1, rank=1)\n+\n  dual(\n Elt)", "unknown operation 'Elt' at "
+     "line 4, column 2 (expected El, Reg, dual, tensor, pull, push)"),
+])
+def test_errors_come_before_any_module_operation(no_module_operations, text,
+                                                 message):
+    with pytest.raises(ExpressionError) as info:
+        parse_module(text)
+    assert str(info.value) == message
 
 
 def test_module_to_expr_round_trips_canonical_values():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from slopelab.cli import _parse_monomial
 from slopelab.elementary import nearby_slopes, regular_module, slopes
 from slopelab.errors import ScriptError
 from slopelab.exact_algebra import MultiIndex
@@ -228,3 +229,22 @@ def test_model_to_dict_rationals_in_lowest_terms():
     model = GoodModel(1, [ModelFactor(MultiIndex((2,)), twist=(F(2, 4),))])
     data = model_to_dict(model)
     assert data["factors"][0]["twist"] == ["1/2"]
+
+
+def test_monomial_failures_name_the_model_and_f_as_replayable_text(monkeypatch):
+    # A bound of 0 puts every positive threshold above it.
+    monkeypatch.setattr("slopelab.selftest.nearby_slope_bound",
+                        lambda model: F(0))
+    model = GoodModel(3, [ModelFactor(MultiIndex((2, 0, 1)),
+                                      twist=(F(1, 2), F(0), F(-1, 3)), rank=2),
+                          ModelFactor(MultiIndex((0, 3, 0)))])
+    fs = [MonomialFunction((1, 0, 2)), MonomialFunction((0, 1, 0))]
+    res = check_monomial_models([(model, (), fs, [], [], [])])
+    assert len(res.failures) == 2
+    for failure, f in zip(res.failures, fs):
+        assert failure.startswith("case 0: threshold below bound; model: ")
+        start = failure.index("model: ") + len("model: ")
+        data, end = json.JSONDecoder().raw_decode(failure, start)
+        assert model_from_dict(data) == model
+        assert failure[end:].startswith("; f: ")
+        assert _parse_monomial(failure[end + len("; f: "):], model.dim) == f

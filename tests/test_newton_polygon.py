@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from slopelab.elementary import elementary, slopes
+from slopelab.elementary import slopes
 from slopelab.newton_polygon import (
     compose_operators,
     exp_twist_operator,
     slopes_from_operator,
 )
+from slopelab.selftest import check_newton_polygon
 
 F = Fraction
 
@@ -54,11 +55,10 @@ def test_laurent_coefficients_shift_polygon_uniformly():
 
 
 def test_rank_one_twist_family_matches_elementary_representation():
-    for m in range(1, 11):
-        for c in (F(0), F(1, 2), F(2, 3), F(-1, 4), F(3)):
-            op = sorted(exp_twist_operator(m, c).items())
-            assert slopes_from_operator(op) == slopes(elementary(1, {-m: 1})), \
-                (m, c)
+    res = check_newton_polygon(
+        [(m, c, [exp_twist_operator(m, c)]) for m in range(1, 11)
+         for c in (F(0), F(1, 2), F(2, 3), F(-1, 4), F(3))])
+    assert res.ok, res.failures
 
 
 # Golden higher-rank fixtures: products of first-order pieces with known
