@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
-from slopelab.errors import FalsificationError, ScriptError, json_int
+from slopelab.errors import FalsificationError, ScriptError, json_int, json_rat
 
 
 class ComponentKind(Enum):
@@ -384,12 +384,10 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
         dim = json_int(script["dim"], "'dim'")
         mode = str(script.get("mode", "toric"))
         z_mult = [json_int(v, "'Z.a' entry") for v in script["Z"]["a"]]
-        s_mult = [Fraction(str(v)) for v in script["S"]["r"]]
+        s_mult = [json_rat(v, "'S.r' entry") for v in script["S"]["r"]]
         raw_steps = script.get("steps", ())
     except (KeyError, TypeError, ValueError) as exc:
         raise ScriptError(f"malformed script: {exc}")
-    except ZeroDivisionError as exc:
-        raise ScriptError(f"malformed script: zero denominator in {exc}")
     if not isinstance(raw_steps, (list, tuple)):
         raise ScriptError(f"malformed script: 'steps' must be a list, "
                           f"got {raw_steps!r}")

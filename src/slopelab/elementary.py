@@ -512,9 +512,11 @@ class NearbyCertificate:
     """Audit trail for a nearby-slope computation.
 
     Members carry an explicit witness twist with its positive nearby-cycle
-    dimension; non-members (over the rational grid reachable within the
-    ramification and pole-order bounds) carry the number of elementary
-    twists of that slope that were checked to give dimension zero.
+    dimension.  Non-members (over the rational grid reachable within the
+    ramification and pole-order bounds) carry the number of generic
+    elementary twists of that slope within the bounds.  One slope test
+    discharges that whole family, since no factor of the module has slope
+    r*p; its twists are counted, not measured one at a time.
     """
 
     p: int
@@ -528,42 +530,25 @@ class NearbyCertificate:
         return {w.slope for w in self.members}
 
 
-def candidate_slope_grid(ram_bound: int, ord_bound: int) -> set[Fraction]:
-    """All slopes an elementary twist within the bounds can have, plus 0."""
-    out = {Fraction(0)}
+def exhaustion_grid(ram_bound: int, ord_bound: int) -> dict[Fraction, int]:
+    """Every slope an elementary twist within the bounds can have, with the
+    number of distinct generic twists of that slope.
+
+    Slope 0 has the three regular twists of exponent 0, 1/2 and 1/3.  Each
+    pair (t, m) with t <= ram_bound and m <= ord_bound gives the slope-m/t
+    twists El(t, u^-m), El(t, -u^-m) and, for m >= 2, El(t, u^-m + u^-(m-1)).
+    With m/t = a/b in lowest terms, El(t, +-u^-m) reduces to El(b, +-u^-a)
+    with a regular part of rank t/b, so twists from different t never
+    coincide.  The two signs are Galois-conjugate, and count once, exactly
+    when -1 lies in mu_b, that is when b is even.
+    """
+    sizes = {(0, 1): 3}
     for t in range(1, ram_bound + 1):
         for m in range(1, ord_bound + 1):
-            out.add(Fraction(m, t))
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _generic_twists(r: Fraction, ram_bound: int,
-                    ord_bound: int) -> tuple[FormalModule, ...]:
-    # The exhaustion family for slope r; it does not depend on the module.
-    twists: list[FormalModule] = []
-    seen: set = set()
-
-    def push(m: FormalModule):
-        if not m.is_zero and m.factors not in seen:
-            seen.add(m.factors)
-            twists.append(m)
-
-    if r == 0:
-        for e in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
-            push(regular_module(1, exponents=[e]))
-        return tuple(twists)
-
-    for t in range(1, ram_bound + 1):
-        m = r * t
-        if m.denominator != 1 or m > ord_bound:
-            continue
-        m = int(m)
-        push(elementary(t, {-m: 1}))
-        push(elementary(t, {-m: -1}))
-        if m >= 2:
-            push(elementary(t, {-m: 1, -(m - 1): 1}))
-    return tuple(twists)
+            g = gcd(m, t)
+            a, b = m // g, t // g
+            sizes[a, b] = sizes.get((a, b), 0) + 1 + b % 2 + (m >= 2)
+    return {Fraction(a, b): n for (a, b), n in sizes.items()}
 
 
 def certify_nearby_slopes(module: FormalModule, p: int, *,
@@ -572,14 +557,16 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     """Nearby slopes along x**p with a two-sided certificate.
 
     Membership of each claimed slope is verified by an explicit witness
-    twist; every other slope on the bounded rational grid is certified by
-    exhausting the generic elementary twists of that slope within the
-    bounds and checking that each gives vanishing nearby cycles.  Both
-    sides read the dimension off psi_dim_twisted's cancellation counts; the
-    composed route psi_dim(tensor(module, pullback(p, twist)), p) gives the
-    same numbers and is kept as the test oracle.  A failure on either
-    side raises FalsificationError.  Bounds below 1 would leave the grid
-    vacuous and raise ValueError before any work starts.
+    twist, measured by psi_dim_twisted.  Every other slope r on the bounded
+    rational grid passes the slope test that psi_dim_twisted applies first:
+    no factor of the module has slope r*p, so every twist of slope r, the
+    generic ones of exhaustion_grid included, has vanishing nearby cycles.
+    The record counts that family; its twists are neither built nor
+    measured one at a time.  The composed route
+    psi_dim(tensor(module, pullback(p, twist)), p) is kept as the test
+    oracle.  A failure on either side raises FalsificationError.  Bounds
+    below 1 would leave the grid vacuous and raise ValueError before any
+    work starts.
     """
     if ram_bound < 1 or ord_bound < 1:
         raise ValueError(f"certificate bounds must be >= 1, got ram_bound="
@@ -590,18 +577,18 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     # An exhaustion failure replays on the same grid.
     bounds = ("" if (ram_bound, ord_bound) == (DEFAULT_RAM_BOUND, DEFAULT_ORD_BOUND)
               else f" --ram-bound {ram_bound} --ord-bound {ord_bound}")
+    present = {s / p for s in slopes(module)}
+    grid = exhaustion_grid(ram_bound, ord_bound)
     nonmembers = []
-    for r in sorted(candidate_slope_grid(ram_bound, ord_bound) - claimed):
-        checked = 0
-        # r is unclaimed, so no factor has slope r*p: generic twists suffice.
-        for twist in _generic_twists(r, ram_bound, ord_bound):
-            dim = psi_dim_twisted(module, twist, p)
-            if dim != 0:
-                raise FalsificationError(
-                    f"slope {r} was predicted absent (p={p}) but twist "
-                    f"{_expr(twist)} gives nearby-cycle dimension "
-                    f"{dim}; {_replay(module, p)}{bounds}")
-            checked += 1
-        nonmembers.append(ExhaustionRecord(r, checked))
+    for r in sorted(grid):
+        if r in claimed:
+            continue
+        if r in present:  # claimed missed r: name r's witness twist
+            twist = regular_module(1) if r == 0 else witness_twist(module, r * p, p)
+            raise FalsificationError(
+                f"slope {r} was predicted absent (p={p}) but twist "
+                f"{_expr(twist)} gives nearby-cycle dimension "
+                f"{psi_dim_twisted(module, twist, p)}; {_replay(module, p)}{bounds}")
+        nonmembers.append(ExhaustionRecord(r, grid[r]))
     return NearbyCertificate(p, ram_bound, ord_bound,
                              members, tuple(nonmembers))

@@ -1,6 +1,7 @@
 """Exception types shared across the engine."""
 
 import json
+from fractions import Fraction
 
 
 class SlopelabError(Exception):
@@ -43,3 +44,18 @@ def json_int(value, field: str) -> int:
     if isinstance(value, (bool, float)):
         raise ScriptError(f"{field} must be an integer, got {json.dumps(value)}")
     return int(value)
+
+
+def json_rat(value, field: str) -> Fraction:
+    """A rational field: a JSON integer or a "num/den" string.  A JSON
+    boolean or float, which Fraction() would take, is refused naming the
+    field."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ScriptError(f"{field} must be an integer or a rational string, "
+                      f"got {json.dumps(value)}")

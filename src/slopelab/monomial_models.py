@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from slopelab.elementary import FormalModule, RegularPart, make_elementary
-from slopelab.errors import ScriptError, json_int
+from slopelab.errors import ScriptError, json_int, json_rat
 from slopelab.exact_algebra import MultiIndex
 
 
@@ -234,21 +234,6 @@ def curve_restriction(model: GoodModel, curve: MultiIndex,
 # Model files (JSON; rationals as "num/den" strings in lowest terms).
 # ---------------------------------------------------------------------------
 
-def _parse_rat(value, field: str) -> Fraction:
-    """A rational field: a JSON integer or a "num/den" string.  A JSON
-    boolean or float, which Fraction() would take, is refused naming the
-    field."""
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ScriptError(f"{field} must be an integer or a rational string, "
-                      f"got {json.dumps(value)}")
-
-
 def format_rat(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -268,7 +253,7 @@ def model_from_dict(data: dict) -> GoodModel:
         try:
             pole = MultiIndex(json_int(e, f"factor {idx}: 'pole' entry")
                               for e in raw["pole"])
-            twist = tuple(_parse_rat(t, f"factor {idx}: 'twist' entry")
+            twist = tuple(json_rat(t, f"factor {idx}: 'twist' entry")
                           for t in raw.get("twist", [0] * dim))
             rank = json_int(raw.get("rank", 1), f"factor {idx}: 'rank'")
         except (KeyError, TypeError, ValueError) as exc:

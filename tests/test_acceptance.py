@@ -33,6 +33,7 @@ from slopelab.randomgen import (
     random_good_model,
 )
 
+from generic_twists import generic_twists
 from golden_operators import GOLDEN_FIXTURES, build_operator
 
 F = Fraction
@@ -86,7 +87,13 @@ def test_criterion_2_bounded_exhaustion(corpus):
         cert = certify_nearby_slopes(m, 1, ram_bound=EXHAUSTION_RAM_BOUND,
                                      ord_bound=EXHAUSTION_ORD_BOUND)
         nonmembers_checked += len(cert.nonmembers)
-        twists_checked += sum(rec.twists_checked for rec in cert.nonmembers)
+        # The certificate counts each slope's family; measure every twist.
+        for rec in cert.nonmembers:
+            twists = generic_twists(rec.slope, EXHAUSTION_RAM_BOUND,
+                                    EXHAUSTION_ORD_BOUND)
+            assert all(psi_dim_twisted(m, n, 1) == 0 for n in twists), rec
+            assert len(twists) == rec.twists_checked, rec
+            twists_checked += len(twists)
     # The direct computation behind the sweep agrees with the composed
     # operations on a seeded subsample (dual-route check).
     for _ in range(150):

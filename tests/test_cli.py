@@ -140,6 +140,9 @@ _SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}
      ("step 1", "'epsS' entry", "true")),
     ({"mode": "abstract", "steps": [{"alpha": [1, 0], "epsS": [1], "epsE": [0.0]}]},
      ("step 1", "'epsE' entry", "0.0")),
+    # Rational fields refuse them too, as a model's 'twist' entries do.
+    ({"S": {"r": [0.1, "1"]}}, ("'S.r' entry", "0.1")),
+    ({"S": {"r": ["1", True]}}, ("'S.r' entry", "true")),
 ])
 def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script = tmp_path / "s.blowup"
@@ -302,6 +305,32 @@ def test_selftest_failure_is_replayable(capsys, monkeypatch):
     assert line.endswith("; replay: slopelab selftest --seed 7 --cases 3")
     # The module text is case 0's input, drawn from the duality suite's rng.
     index = [check for check, _ in selftest.ALL_SUITES].index(selftest.check_dual)
+    text = line.split("module: ")[1].split(";")[0]
+    assert parse_and_eval(text) == random_formal_module(
+        random.Random(7 * 1000003 + index))
+
+
+def test_selftest_certificate_failure_carries_one_replay(capsys, monkeypatch):
+    # Inside the certificate only, witness twists measure 0: the
+    # certificate of every nonzero module fails.
+    elementary_module = sys.modules["slopelab.elementary"]
+    selftest = sys.modules["slopelab.selftest"]
+    certify = selftest.certify_nearby_slopes
+
+    def failing_certificate(*args, **kwargs):
+        with monkeypatch.context() as patched:
+            patched.setattr(elementary_module, "psi_dim_twisted", lambda *_: 0)
+            return certify(*args, **kwargs)
+
+    monkeypatch.setattr(selftest, "certify_nearby_slopes", failing_certificate)
+    code, out, err = run(capsys, "selftest", "--cases", "3", "--seed", "7")
+    assert code == 2 and "FALSIFICATION" in err
+    line = next(s for s in out.splitlines() if "certificate:" in s).strip()
+    assert line.startswith("nearby-cycles: seed 7, case 0: certificate: witness ")
+    assert line.count("module: ") == 1 and line.count("replay:") == 1
+    assert line.endswith("; replay: slopelab selftest --seed 7 --cases 3")
+    index = [check for check, _ in selftest.ALL_SUITES].index(
+        selftest.check_nearby_cycles)
     text = line.split("module: ")[1].split(";")[0]
     assert parse_and_eval(text) == random_formal_module(
         random.Random(7 * 1000003 + index))

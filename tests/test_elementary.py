@@ -17,6 +17,7 @@ from slopelab.elementary import (
     certify_nearby_slopes,
     dual,
     elementary,
+    exhaustion_grid,
     irregularity,
     is_regular,
     make_elementary,
@@ -36,6 +37,8 @@ from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.expr import module_to_expr, parse_and_eval
 from slopelab.randomgen import random_formal_module
 from slopelab.selftest import check_pullback_pushforward, check_tensor
+
+from generic_twists import candidate_slope_grid, generic_twists
 
 F = Fraction
 
@@ -227,7 +230,10 @@ def test_falsified_witness_names_the_module_and_replay(monkeypatch):
 
 
 def test_falsified_exhaustion_names_the_twist_and_replay(monkeypatch):
-    monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", lambda *_: 1)
+    # A nearby-slope set that misses slope 1: the exhaustion's slope test
+    # finds the factor of slope 1*p and names that slope's witness twist.
+    monkeypatch.setattr(_ELEMENTARY, "nearby_slopes",
+                        lambda *args, **kw: nearby_slopes(*args, **kw) - {F(1)})
     m = elementary(1, {-2: CycloRat.zeta(4)})
     with pytest.raises(FalsificationError) as info:
         certify_nearby_slopes(m, 2, ram_bound=2, ord_bound=2)
@@ -235,6 +241,7 @@ def test_falsified_exhaustion_names_the_twist_and_replay(monkeypatch):
     _replayable(message, m, 2)
     twist = message.split("but twist ")[1].split(" gives")[0]
     assert not parse_and_eval(twist).is_zero
+    assert "nearby-cycle dimension 0;" not in message
     # The replay reruns the exhaustion on the same grid.
     assert message.endswith("--cert --ram-bound 2 --ord-bound 2")
 
@@ -276,6 +283,15 @@ def test_certificate_members_and_nonmembers():
     assert F(3, 2) not in checked and F(0) not in checked
     assert F(1) in checked and F(8) in checked
     assert all(rec.twists_checked > 0 for rec in cert.nonmembers)
+
+
+@pytest.mark.parametrize("ram_bound, ord_bound", [(12, 24), (30, 60), (4, 6), (2, 2)])
+def test_exhaustion_grid_counts_the_built_twists(ram_bound, ord_bound):
+    # The closed-form count against the family built module by module.
+    grid = exhaustion_grid(ram_bound, ord_bound)
+    assert set(grid) == candidate_slope_grid(ram_bound, ord_bound)
+    for r, count in grid.items():
+        assert count == len(set(generic_twists(r, ram_bound, ord_bound))), r
 
 
 def test_cyclotomic_coefficients_flow_through_the_calculus():
