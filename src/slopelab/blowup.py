@@ -6,15 +6,17 @@ components) together with their multiplicities in the pullbacks of the
 function divisor Z and of the weighted divisor S.  Blow-ups only ever append
 an exceptional component; existing multiplicities never change.
 
-Two modes:
+Every step is an incidence vector w over the current components, and one
+rule gives the new component P its multiplicities vZ(P) = sum_C w(C) vZ(C)
+and vS(P) = sum_C w(C) vS(C).  The two modes differ only in how w is given:
 
-* toric: centers are cones of the current (smooth, simplicial) fan, the new
-  ray is the sum of the center's primitive generators, and every incidence is
-  computed from the fan.  The linearity of the toric valuation pairing is
-  cross-checked against the recursion on every step.
-* abstract: incidences are supplied directly (alpha per strict-Z component in
-  N, eps in {0,1} elsewhere), which reproduces the bookkeeping without any
-  fan geometry.
+* toric: the center is a cone of the current (smooth, simplicial) fan, w is
+  1 on its members and 0 elsewhere, and the new ray is the sum of the
+  center's primitive generators.  The linearity of the toric valuation
+  pairing is cross-checked against the recursion on every step.
+* abstract: w is supplied directly (alpha per strict-Z component in N, eps
+  in {0,1} elsewhere), which reproduces the bookkeeping without any fan
+  geometry.
 
 The key inequality vS(E) <= deg(S) * vZ(E) is asserted after every step via
 the three-line estimate that drives the induction; a violation raises
@@ -30,7 +32,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
-from slopelab.errors import FalsificationError, ScriptError, json_int, json_rat
+from slopelab.errors import (FalsificationError, ScriptError, json_int, json_list,
+                             json_rat)
 
 
 class ComponentKind(Enum):
@@ -95,12 +98,6 @@ class BlowupState:
     s_vector: tuple[Fraction, ...]
     fan: Optional[Fan]
     steps_applied: int = 0
-
-    def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise ScriptError(f"unknown component id {cid!r}")
 
     def by_kind(self, kind: ComponentKind) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.kind == kind)
@@ -196,140 +193,128 @@ def _check_induction_chain(state: BlowupState, weighted_alpha: Fraction,
         raise FalsificationError("recursion bookkeeping disagrees with the chain")
 
 
-def _new_exceptional_id(state: BlowupState) -> str:
-    count = sum(1 for c in state.components if c.kind is ComponentKind.EXCEPTIONAL)
-    return f"E{count + 1}"
-
-
-def _blow_up_toric(state: BlowupState, step: BlowupStep) -> BlowupState:
-    ids = step.center or ()
+def _center_incidence(state: BlowupState, ids: Sequence[str]) -> list[int]:
+    # A toric center meets exactly its members, each once.
     if len(set(ids)) != len(ids) or not ids:
         raise ScriptError("toric center must be a nonempty set of distinct ids")
-    comps = {c.id: i for i, c in enumerate(state.components)}
-    try:
-        indices = frozenset(comps[cid] for cid in ids)
-    except KeyError as exc:
-        raise ScriptError(f"unknown component id {exc.args[0]!r}")
-    center = [state.components[i] for i in sorted(indices)]
-
-    # (i): the center must lie in the strict transform of Z.
-    z_members = [c for c in center if c.kind is ComponentKind.STRICT_Z]
-    if not z_members:
-        raise ScriptError(
-            "inadmissible center: it misses the strict transform of Z "
-            "(condition (i): no alpha_i > 0)")
-    # (ii): nowhere dense in it, i.e. never a whole strict-Z component.
-    if len(center) == 1:
-        raise ScriptError(
-            "inadmissible center: equal to a strict-Z component "
-            "(condition (ii): nowhere dense)")
-    # (iii): normal crossing, encoded as membership in the current fan.
-    assert state.fan is not None
-    if not state.fan.is_cone(indices):
-        raise ScriptError(
-            "inadmissible center: the rays do not span a cone of the current "
-            "fan (condition (iii))")
-
-    weighted_alpha = Fraction(sum(c.vZ for c in z_members))
-    s_incidence = sum((c.vS for c in center
-                       if c.kind is not ComponentKind.EXCEPTIONAL), Fraction(0))
-    eps_vZ = Fraction(sum(c.vZ for c in center
-                          if c.kind is ComponentKind.EXCEPTIONAL))
-    eps_vS = sum((c.vS for c in center
-                  if c.kind is ComponentKind.EXCEPTIONAL), Fraction(0))
-    vZ_new = weighted_alpha + eps_vZ
-    vS_new = s_incidence + eps_vS
-
-    fan, new_ray = state.fan.star_subdivide(indices)
-
-    # Valuation linearity: the new ray's multiplicities must equal the
-    # pairing of the ray with the original multiplicity vectors.
-    pair_z = sum(n * m for n, m in zip(new_ray, state.z_vector))
-    pair_s = sum((Fraction(n) * m for n, m in zip(new_ray, state.s_vector)),
-                 Fraction(0))
-    if pair_z != vZ_new or pair_s != vS_new:
-        raise FalsificationError(
-            f"toric valuation pairing disagrees with the recursion: "
-            f"ray {new_ray} gives ({pair_z}, {pair_s}), recursion gives "
-            f"({vZ_new}, {vS_new})")
-
-    _check_induction_chain(state, weighted_alpha, s_incidence, eps_vZ, eps_vS,
-                           vZ_new, vS_new)
-
-    new_comp = Component(_new_exceptional_id(state), ComponentKind.EXCEPTIONAL,
-                         new_ray, int(vZ_new), vS_new)
-    return BlowupState(state.mode, state.dim, state.components + (new_comp,),
-                       state.degS, state.z_vector, state.s_vector, fan,
-                       state.steps_applied + 1)
+    weights = [0] * len(state.components)
+    index = {c.id: i for i, c in enumerate(state.components)}
+    for cid in ids:
+        if cid not in index:
+            raise ScriptError(f"unknown component id {cid!r}")
+        weights[index[cid]] = 1
+    return weights
 
 
-def _blow_up_abstract(state: BlowupState, step: BlowupStep) -> BlowupState:
-    strict_z = state.by_kind(ComponentKind.STRICT_Z)
-    strict_s = state.by_kind(ComponentKind.STRICT_S)
-    exceptional = state.by_kind(ComponentKind.EXCEPTIONAL)
-
+def _abstract_incidence(state: BlowupState, step: BlowupStep) -> list[int]:
+    # The script lists the incidences kind by kind; spread them back over
+    # the components in order.  Missing eps lists default to zeros.
+    kinds = [c.kind for c in state.components]
+    counts = {kind: kinds.count(kind) for kind in ComponentKind}
     alpha = tuple(step.alpha or ())
-    epsS = tuple(step.epsS if step.epsS is not None else (0,) * len(strict_s))
-    epsE = tuple(step.epsE if step.epsE is not None else (0,) * len(exceptional))
-    if len(alpha) != len(strict_z):
-        raise ScriptError(
-            f"alpha must list one incidence per strict-Z component "
-            f"({len(strict_z)} expected, {len(alpha)} given)")
-    if len(epsS) != len(strict_s):
-        raise ScriptError(
-            f"epsS must list one flag per strict-S component "
-            f"({len(strict_s)} expected, {len(epsS)} given)")
-    if len(epsE) != len(exceptional):
-        raise ScriptError(
-            f"epsE must list one flag per exceptional component "
-            f"({len(exceptional)} expected, {len(epsE)} given)")
+    epsS = step.epsS if step.epsS is not None else (0,) * counts[ComponentKind.STRICT_S]
+    epsE = (step.epsE if step.epsE is not None
+            else (0,) * counts[ComponentKind.EXCEPTIONAL])
+    for name, given, kind, what in (
+            ("alpha", alpha, ComponentKind.STRICT_Z, "one incidence per strict-Z"),
+            ("epsS", epsS, ComponentKind.STRICT_S, "one flag per strict-S"),
+            ("epsE", epsE, ComponentKind.EXCEPTIONAL, "one flag per exceptional")):
+        if len(given) != counts[kind]:
+            raise ScriptError(
+                f"{name} must list {what} component "
+                f"({counts[kind]} expected, {len(given)} given)")
     if any(a < 0 for a in alpha):
         raise ScriptError("alpha incidences must be nonnegative integers")
     if any(e not in (0, 1) for e in epsS) or any(e not in (0, 1) for e in epsE):
         raise ScriptError("eps incidences must lie in {0, 1}")
-    if not any(alpha):
-        raise ScriptError(
-            "inadmissible center: it misses the strict transform of Z "
-            "(condition (i): no alpha_i > 0)")
-    for comp, a in zip(strict_z, alpha):
-        if comp.vS > 0 and a > 1:
-            raise ScriptError(
-                f"component {comp.id} also carries S: its incidence must be "
-                f"0 or 1, got {a}")
+    by_kind = {ComponentKind.STRICT_Z: iter(alpha),
+               ComponentKind.STRICT_S: iter(epsS),
+               ComponentKind.EXCEPTIONAL: iter(epsE)}
+    return [next(by_kind[kind]) for kind in kinds]
 
-    weighted_alpha = Fraction(sum(c.vZ * a for c, a in zip(strict_z, alpha)))
-    s_incidence = (sum((c.vS * a for c, a in zip(strict_z, alpha)), Fraction(0))
-                   + sum((c.vS * e for c, e in zip(strict_s, epsS)), Fraction(0)))
-    eps_vZ = Fraction(sum(c.vZ * e for c, e in zip(exceptional, epsE)))
-    eps_vS = sum((c.vS * e for c, e in zip(exceptional, epsE)), Fraction(0))
-    vZ_new = weighted_alpha + eps_vZ
-    vS_new = s_incidence + eps_vS
 
-    _check_induction_chain(state, weighted_alpha, s_incidence, eps_vZ, eps_vS,
-                           vZ_new, vS_new)
-
-    new_comp = Component(_new_exceptional_id(state), ComponentKind.EXCEPTIONAL,
-                         None, int(vZ_new), vS_new)
-    return BlowupState(state.mode, state.dim, state.components + (new_comp,),
-                       state.degS, state.z_vector, state.s_vector, None,
-                       state.steps_applied + 1)
+def _weighted(met: Sequence[tuple[Component, int]]) -> tuple[int, Fraction]:
+    # sum w(C) vZ(C) and sum w(C) vS(C) over (component, incidence) pairs.
+    return (sum(w * c.vZ for c, w in met),
+            sum((w * c.vS for c, w in met), Fraction(0)))
 
 
 def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
     """Apply one admissible blow-up and return the new state.
 
-    Appends the exceptional component P with vZ(P) = sum a_i alpha_i +
-    sum eps_E vZ(E) and vS(P) = sum r_j eps_j + sum eps_E vS(E); every
-    existing multiplicity is untouched.  Rejects inadmissible centers with a
-    ScriptError naming the violated condition.
+    Every step is an incidence vector w over the current components: a
+    toric center is 1 on its members and 0 elsewhere; an abstract step
+    spreads its alpha (strict-Z), epsS (strict-S) and epsE (exceptional)
+    lists over the components of each kind.  One rule then appends the
+    exceptional component P with vZ(P) = sum_C w(C) vZ(C) and
+    vS(P) = sum_C w(C) vS(C), which is sum a_i alpha_i + sum eps_E vZ(E)
+    and sum r_j eps_j + sum eps_E vS(E) because strict-S components have
+    vZ = 0.  Every existing multiplicity is untouched.  Rejects
+    inadmissible centers with a ScriptError naming the violated condition.
     """
-    if state.mode == "toric":
-        if not step.is_toric:
-            raise ScriptError("toric states need steps with a 'center'")
-        return _blow_up_toric(state, step)
-    if step.is_toric:
-        raise ScriptError("abstract states need alpha/epsS/epsE steps")
-    return _blow_up_abstract(state, step)
+    toric = state.mode == "toric"
+    if toric != step.is_toric:
+        raise ScriptError("toric states need steps with a 'center'" if toric
+                          else "abstract states need alpha/epsS/epsE steps")
+    weights = (_center_incidence(state, step.center) if toric
+               else _abstract_incidence(state, step))
+    met = [(c, w) for c, w in zip(state.components, weights) if w]
+
+    # (i): the center must lie in the strict transform of Z.
+    if not any(c.kind is ComponentKind.STRICT_Z for c, _ in met):
+        raise ScriptError(
+            "inadmissible center: it misses the strict transform of Z "
+            "(condition (i): no alpha_i > 0)")
+    # Only an alpha can exceed 1, and a strict-Z component that also
+    # carries S must be met at most once.
+    for c, w in met:
+        if w > 1 and c.vS > 0:
+            raise ScriptError(
+                f"component {c.id} also carries S: its incidence must be "
+                f"0 or 1, got {w}")
+
+    # The weighted sum, split at the exceptional components for the chain.
+    weighted_alpha, s_incidence = _weighted(
+        [(c, w) for c, w in met if c.kind is not ComponentKind.EXCEPTIONAL])
+    eps_vZ, eps_vS = _weighted(
+        [(c, w) for c, w in met if c.kind is ComponentKind.EXCEPTIONAL])
+    vZ_new, vS_new = weighted_alpha + eps_vZ, s_incidence + eps_vS
+
+    fan, new_ray = state.fan, None
+    if toric:
+        indices = frozenset(i for i, w in enumerate(weights) if w)
+        # (ii): nowhere dense in it, i.e. never a whole strict-Z component.
+        if len(indices) == 1:
+            raise ScriptError(
+                "inadmissible center: equal to a strict-Z component "
+                "(condition (ii): nowhere dense)")
+        # (iii): normal crossing, encoded as membership in the current fan.
+        assert fan is not None
+        if not fan.is_cone(indices):
+            raise ScriptError(
+                "inadmissible center: the rays do not span a cone of the "
+                "current fan (condition (iii))")
+        fan, new_ray = fan.star_subdivide(indices)
+        # Valuation linearity: the new ray's multiplicities must equal the
+        # pairing of the ray with the original multiplicity vectors.
+        pair_z = sum(n * m for n, m in zip(new_ray, state.z_vector))
+        pair_s = sum((Fraction(n) * m for n, m in zip(new_ray, state.s_vector)),
+                     Fraction(0))
+        if pair_z != vZ_new or pair_s != vS_new:
+            raise FalsificationError(
+                f"toric valuation pairing disagrees with the recursion: "
+                f"ray {new_ray} gives ({pair_z}, {pair_s}), recursion gives "
+                f"({vZ_new}, {vS_new})")
+
+    _check_induction_chain(state, weighted_alpha, s_incidence, eps_vZ, eps_vS,
+                           vZ_new, vS_new)
+
+    # The first dim components are the strict transforms; the rest are E1, E2, ...
+    new_id = f"E{len(state.components) - state.dim + 1}"
+    new_comp = Component(new_id, ComponentKind.EXCEPTIONAL, new_ray, vZ_new, vS_new)
+    return BlowupState(state.mode, state.dim, state.components + (new_comp,),
+                       state.degS, state.z_vector, state.s_vector, fan,
+                       state.steps_applied + 1)
 
 
 def verify_inequality(state: BlowupState) -> InequalityReport:
@@ -363,8 +348,14 @@ def step_from_dict(data: Mapping, mode: str) -> BlowupStep:
         if mode == "toric":
             if "center" not in data:
                 raise ScriptError("toric step needs a 'center' list of ids")
-            return BlowupStep(center=tuple(str(c) for c in data["center"]))
-        ints = {key: tuple(json_int(v, f"'{key}' entry") for v in data[key])
+            center = tuple(json_list(data["center"], "'center'"))
+            for cid in center:
+                if not isinstance(cid, str):
+                    raise TypeError(f"'center' entry must be a component id "
+                                    f"string, got {json.dumps(cid)}")
+            return BlowupStep(center=center)
+        ints = {key: tuple(json_int(v, f"'{key}' entry")
+                           for v in json_list(data[key], f"'{key}'"))
                 for key in ("alpha", "epsS", "epsE") if key in data}
         return BlowupStep(alpha=ints.get("alpha", ()), epsS=ints.get("epsS"),
                           epsE=ints.get("epsE"))
@@ -383,8 +374,10 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
     try:
         dim = json_int(script["dim"], "'dim'")
         mode = str(script.get("mode", "toric"))
-        z_mult = [json_int(v, "'Z.a' entry") for v in script["Z"]["a"]]
-        s_mult = [json_rat(v, "'S.r' entry") for v in script["S"]["r"]]
+        z_mult = [json_int(v, "'Z.a' entry")
+                  for v in json_list(script["Z"]["a"], "'Z.a'")]
+        s_mult = [json_rat(v, "'S.r' entry")
+                  for v in json_list(script["S"]["r"], "'S.r'")]
         raw_steps = script.get("steps", ())
     except (KeyError, TypeError, ValueError) as exc:
         raise ScriptError(f"malformed script: {exc}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
@@ -531,8 +531,9 @@ class NearbyCertificate:
 
 
 def exhaustion_grid(ram_bound: int, ord_bound: int) -> dict[Fraction, int]:
-    """Every slope an elementary twist within the bounds can have, with the
-    number of distinct generic twists of that slope.
+    """Every slope an elementary twist within the bounds can have, in
+    increasing order, with the number of distinct generic twists of that
+    slope.
 
     Slope 0 has the three regular twists of exponent 0, 1/2 and 1/3.  Each
     pair (t, m) with t <= ram_bound and m <= ord_bound gives the slope-m/t
@@ -548,7 +549,11 @@ def exhaustion_grid(ram_bound: int, ord_bound: int) -> dict[Fraction, int]:
             g = gcd(m, t)
             a, b = m // g, t // g
             sizes[a, b] = sizes.get((a, b), 0) + 1 + b % 2 + (m >= 2)
-    return {Fraction(a, b): n for (a, b), n in sizes.items()}
+    # Every b divides some t <= ram_bound, so a * (scale // b) orders the
+    # slopes exactly in integers.
+    scale = lcm(*range(1, ram_bound + 1))
+    return {Fraction(a, b): sizes[a, b]
+            for a, b in sorted(sizes, key=lambda ab: ab[0] * (scale // ab[1]))}
 
 
 def certify_nearby_slopes(module: FormalModule, p: int, *,
@@ -580,7 +585,7 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     present = {s / p for s in slopes(module)}
     grid = exhaustion_grid(ram_bound, ord_bound)
     nonmembers = []
-    for r in sorted(grid):
+    for r, count in grid.items():
         if r in claimed:
             continue
         if r in present:  # claimed missed r: name r's witness twist
@@ -589,6 +594,6 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
                 f"slope {r} was predicted absent (p={p}) but twist "
                 f"{_expr(twist)} gives nearby-cycle dimension "
                 f"{psi_dim_twisted(module, twist, p)}; {_replay(module, p)}{bounds}")
-        nonmembers.append(ExhaustionRecord(r, grid[r]))
+        nonmembers.append(ExhaustionRecord(r, count))
     return NearbyCertificate(p, ram_bound, ord_bound,
                              members, tuple(nonmembers))

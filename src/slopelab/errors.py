@@ -46,16 +46,27 @@ def json_int(value, field: str) -> int:
     return int(value)
 
 
+def json_list(value, field: str) -> list | tuple:
+    """An array field of a model or script.  Anything else, above all a
+    string, which would be iterated one character at a time, raises a
+    TypeError naming the field; the caller adds its context."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{field} must be an array, got {json.dumps(value)}")
+    return value
+
+
 def json_rat(value, field: str) -> Fraction:
     """A rational field: a JSON integer or a "num/den" string.  A JSON
-    boolean or float, which Fraction() would take, is refused naming the
-    field."""
+    boolean or float, which Fraction() would take, and a string that is no
+    rational are refused naming the field."""
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-    if isinstance(value, int) and not isinstance(value, bool):
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ScriptError(f"{field} must be an integer or a rational string, "
                       f"got {json.dumps(value)}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from slopelab.elementary import FormalModule, RegularPart, make_elementary
-from slopelab.errors import ScriptError, json_int, json_rat
+from slopelab.errors import ScriptError, json_int, json_list, json_rat
 from slopelab.exact_algebra import MultiIndex
 
 
@@ -252,9 +252,9 @@ def model_from_dict(data: dict) -> GoodModel:
             raise ScriptError(f"factor {idx}: expected an object, got {raw!r}")
         try:
             pole = MultiIndex(json_int(e, f"factor {idx}: 'pole' entry")
-                              for e in raw["pole"])
+                              for e in json_list(raw["pole"], "'pole'"))
             twist = tuple(json_rat(t, f"factor {idx}: 'twist' entry")
-                          for t in raw.get("twist", [0] * dim))
+                          for t in json_list(raw.get("twist", [0] * dim), "'twist'"))
             rank = json_int(raw.get("rank", 1), f"factor {idx}: 'rank'")
         except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"factor {idx}: {exc}")

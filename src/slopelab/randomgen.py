@@ -11,6 +11,7 @@ sizes.  So a seed reproduces each caller's inputs.
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 from slopelab import blowup
@@ -19,7 +20,7 @@ from slopelab.elementary import (
     RegularPart,
     make_elementary,
 )
-from slopelab.errors import FalsificationError
+from slopelab.errors import SlopelabError
 from slopelab.exact_algebra import CycloRat, MultiIndex
 from slopelab.monomial_models import GoodModel, ModelFactor
 
@@ -147,12 +148,19 @@ def random_abstract_step(rng: random.Random,
     )
 
 
-def random_chain(rng: random.Random, *, max_dim: int = 4, max_steps: int = 6,
-                 mode: str | None = None) -> blowup.BlowupState:
-    """Run a random admissible chain, verifying the inequality after every
-    step (blow_up itself asserts the induction chain)."""
+def random_chain_script(rng: random.Random, *, max_dim: int = 4,
+                        max_steps: int = 6, mode: str | None = None) -> dict:
+    """A random admissible chain as the script that `slopelab blowup -s`
+    reads.
+
+    Each step is drawn from the state the previous steps built.  Should
+    blow_up refuse a drawn step, the script ends with that step, so that a
+    replay meets the same error.
+    """
     mode = mode or rng.choice(("toric", "abstract"))
     state = random_initial_state(rng, max_dim=max_dim, mode=mode)
+    script = {"dim": state.dim, "mode": mode, "Z": {"a": list(state.z_vector)},
+              "S": {"r": [str(r) for r in state.s_vector]}, "steps": []}
     for _ in range(rng.randint(0, max_steps)):
         if mode == "toric":
             step = random_toric_step(rng, state)
@@ -160,9 +168,10 @@ def random_chain(rng: random.Random, *, max_dim: int = 4, max_steps: int = 6,
                 break
         else:
             step = random_abstract_step(rng, state)
-        state = blowup.blow_up(state, step)
-        report = blowup.verify_inequality(state)
-        if not report.ok:
-            raise FalsificationError(
-                "inequality violated mid-chain at " + ", ".join(report.violations))
-    return state
+        script["steps"].append({key: list(value) for key, value
+                                in asdict(step).items() if value is not None})
+        try:
+            state = blowup.blow_up(state, step)
+        except SlopelabError:
+            break
+    return script

@@ -56,7 +56,7 @@ from slopelab.newton_polygon import (
     slopes_from_operator,
 )
 from slopelab.randomgen import (
-    random_chain,
+    random_chain_script,
     random_formal_module,
     random_good_model,
 )
@@ -78,7 +78,10 @@ class SuiteResult:
 
 def _describe(value) -> str:
     # An input as the text its command reads: a model as the JSON of
-    # `slopelab bound -m`, a monomial as `-f` text, a module as `-e` text.
+    # `slopelab bound -m`, a blow-up chain as the JSON of `slopelab
+    # blowup -s`, a monomial as `-f` text, a module as `-e` text.
+    if isinstance(value, dict):
+        return f"script for slopelab blowup -s: {json.dumps(value)}"
     if isinstance(value, GoodModel):
         return f"model: {json.dumps(model_to_dict(value))}"
     if isinstance(value, MonomialFunction):
@@ -350,24 +353,30 @@ def check_monomial_models(cases) -> SuiteResult:
     return res
 
 
-def check_blowup(chains) -> SuiteResult:
-    """Each case is the last state of a chain, or the error that stopped
-    the chain."""
-    res = SuiteResult("blowup-chains", len(chains))
-    for i, state in enumerate(chains):
-        if isinstance(state, SlopelabError):
-            _record(res, False, i, f"chain: {state}")
+def check_blowup(scripts) -> SuiteResult:
+    """Each case is a blow-up script, the JSON that `slopelab blowup -s`
+    reads.  Its chain is replayed, and the inequality checked after every
+    step; a failure prints the script."""
+    res = SuiteResult("blowup-chains", len(scripts))
+    for i, script in enumerate(scripts):
+        try:
+            for state in blowup.iter_chain(script):
+                report = blowup.verify_inequality(state)
+                if not report.ok:
+                    break
+        except SlopelabError as exc:
+            _record(res, False, i, f"chain: {exc}", script)
             continue
-        report = blowup.verify_inequality(state)
         _record(res, report.ok, i,
-                f"chain: inequality violated at {report.violations}")
+                f"chain: inequality violated at {report.violations} after "
+                f"step {state.steps_applied}", script)
         if state.mode == "toric":
             # v_E(x^m) = <ray_E, m> for every component.
             for comp in state.components:
                 pair_z = sum(x * a for x, a in zip(comp.ray, state.z_vector))
                 pair_s = sum(x * r for x, r in zip(comp.ray, state.s_vector))
                 _record(res, comp.vZ == pair_z and comp.vS == pair_s, i,
-                        f"chain: valuation linearity ({comp.id})")
+                        f"chain: valuation linearity ({comp.id})", script)
     return res
 
 
@@ -441,13 +450,6 @@ def _draw_model(rng: random.Random):
     return model, (extra,), fs, curves, samples, lemmas
 
 
-def _draw_chain(rng: random.Random):
-    try:
-        return random_chain(rng)
-    except SlopelabError as exc:
-        return exc
-
-
 ALL_SUITES = (
     (check_cyclotomic_field, _draw_cyclotomic),
     (check_exponent_substitution, _draw_substitution),
@@ -462,7 +464,7 @@ ALL_SUITES = (
     (check_regularity, random_formal_module),
     (check_newton_polygon, _draw_operators),
     (check_monomial_models, _draw_model),
-    (check_blowup, _draw_chain),
+    (check_blowup, random_chain_script),
     (check_expression_round_trip,
      lambda rng: random_formal_module(rng, allow_zero=True)),
 )

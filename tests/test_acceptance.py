@@ -28,7 +28,7 @@ from slopelab.expr import parse_and_eval
 from slopelab.monomial_models import MonomialFunction
 from slopelab.newton_polygon import exp_twist_operator, slopes_from_operator
 from slopelab.randomgen import (
-    random_chain,
+    random_chain_script,
     random_formal_module,
     random_good_model,
 )
@@ -163,11 +163,11 @@ def test_criterion_7_blowup_sweep():
     inequality and the three-line induction estimate hold after every step
     (the step operation itself asserts the estimate)."""
     rng = random.Random(ACCEPTANCE_SEED + 3)
-    chains = [random_chain(rng, max_dim=4, max_steps=6,
-                           mode="toric" if i % 2 == 0 else "abstract")
+    chains = [random_chain_script(rng, max_dim=4, max_steps=6,
+                                  mode="toric" if i % 2 == 0 else "abstract")
               for i in range(1000)]
     _check(7, selftest.check_blowup(chains))
-    toric = sum(state.mode == "toric" for state in chains)
+    toric = sum(script["mode"] == "toric" for script in chains)
     _report(7, f"1000 chains verified ({toric} toric, {1000 - toric} abstract), "
                f"no inequality violations")
 

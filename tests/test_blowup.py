@@ -1,22 +1,27 @@
 """Tests for the blow-up multiplicity simulator."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from slopelab import blowup
 from slopelab.blowup import (
     BlowupStep,
     ComponentKind,
     blow_up,
     chain_from_script,
     initial_state,
+    iter_chain,
     report_to_dict,
     report_to_text,
     verify_inequality,
 )
+from slopelab.cli import main as cli_main
 from slopelab.errors import ScriptError
-from slopelab.randomgen import random_chain
+from slopelab.randomgen import random_chain_script
 from slopelab.selftest import check_blowup
 
 F = Fraction
@@ -102,6 +107,81 @@ def test_abstract_rejects_bad_incidences():
         blow_up(out, BlowupStep(alpha=(1, 0), epsE=(2,)))
 
 
+@pytest.mark.parametrize("mode, step, message", [
+    # Toric: distinct ids, then unknown ids, then (i), (ii), (iii).
+    ("toric", BlowupStep(center=("D9", "D9")), "nonempty set of distinct ids"),
+    ("toric", BlowupStep(center=("D2", "D2")), "nonempty set of distinct ids"),
+    ("toric", BlowupStep(center=()), "nonempty set of distinct ids"),
+    ("toric", BlowupStep(center=("D2", "D9")), "unknown component id 'D9'"),
+    # Abstract: the list lengths, then alpha >= 0, then eps in {0, 1}, then
+    # (i), then a strict-Z component that also carries S; these last two
+    # never fail together.
+    ("abstract", BlowupStep(alpha=(0, 0)), "one incidence per strict-Z"),
+    ("abstract", BlowupStep(alpha=(0,), epsS=(1, 1)), "one flag per strict-S"),
+    ("abstract", BlowupStep(alpha=(0,), epsE=(2,)), "one flag per exceptional"),
+    ("abstract", BlowupStep(alpha=(-1,), epsS=(2,)), "must be nonnegative"),
+    ("abstract", BlowupStep(alpha=(0,), epsS=(2,)), "in \\{0, 1\\}"),
+])
+def test_the_first_violated_rule_names_the_error(mode, step, message):
+    # D1 carries Z and S, D2 only S.  Each step breaks the named rule and
+    # a later one, or (for the empty center) only the first rule.
+    state = initial_state(2, [1, 0], [2, 3], mode)
+    with pytest.raises(ScriptError, match=message):
+        blow_up(state, step)
+
+
+def test_toric_steps_agree_with_their_abstract_incidences():
+    # The indicator of a toric center, read as an abstract step on the same
+    # components, must give the new component the same multiplicities.
+    rng = random.Random(54)
+    steps = 0
+    for _ in range(200):
+        script = random_chain_script(rng, mode="toric")
+        chain = list(iter_chain(script))
+        for before, after, raw in zip(chain, chain[1:], script["steps"]):
+            def indicator(kind):
+                return tuple(int(c.id in raw["center"]) for c in before.by_kind(kind))
+
+            abstract = blow_up(
+                dataclasses.replace(before, mode="abstract", fan=None),
+                BlowupStep(alpha=indicator(ComponentKind.STRICT_Z),
+                           epsS=indicator(ComponentKind.STRICT_S),
+                           epsE=indicator(ComponentKind.EXCEPTIONAL)))
+            toric_new, abstract_new = after.components[-1], abstract.components[-1]
+            assert (abstract_new.id, abstract_new.vZ, abstract_new.vS) == \
+                (toric_new.id, toric_new.vZ, toric_new.vS), script
+            steps += 1
+    assert steps > 500
+
+
+@pytest.mark.parametrize("mode", ["toric", "abstract"])
+def test_blowup_failures_print_a_replayable_script(tmp_path, capsys,
+                                                   monkeypatch, mode):
+    rng = random.Random(55)
+    script = random_chain_script(rng, mode=mode, max_steps=6)
+    last = chain_from_script(script).steps_applied
+    assert last >= 2
+    # Flag the last state of the chain, so that only the check goes red.
+    real = blowup.verify_inequality
+
+    def flag_last(state):
+        report = real(state)
+        if state.steps_applied < last:
+            return report
+        return dataclasses.replace(report, violations=(state.components[-1].id,))
+
+    monkeypatch.setattr(blowup, "verify_inequality", flag_last)
+    (failure,) = check_blowup([script]).failures
+    monkeypatch.undo()
+    assert failure.startswith("case 0: chain: inequality violated at ")
+    assert f"after step {last}; script for slopelab blowup -s: " in failure
+    replay = tmp_path / "replay.blowup"
+    replay.write_text(failure.split("blowup -s: ")[1])
+    assert cli_main(["blowup", "-s", str(replay), "--verify", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["steps"] == last and data["mode"] == mode
+
+
 def test_exceptional_components_accumulate_and_keep_values():
     state = initial_state(3, [1, 1, 1], [1, 0, 2], "toric")
     s1 = blow_up(state, BlowupStep(center=("D1", "D2")))
@@ -116,14 +196,14 @@ def test_exceptional_components_accumulate_and_keep_values():
 
 def test_toric_valuation_linearity_on_deeper_chains():
     rng = random.Random(51)
-    res = check_blowup([random_chain(rng, mode="toric", max_steps=5)
+    res = check_blowup([random_chain_script(rng, mode="toric", max_steps=5)
                         for _ in range(30)])
     assert res.ok, res.failures
 
 
 def test_random_chains_never_violate_the_inequality():
     rng = random.Random(52)
-    res = check_blowup([random_chain(rng) for _ in range(120)])
+    res = check_blowup([random_chain_script(rng) for _ in range(120)])
     assert res.ok, res.failures
 
 
@@ -153,7 +233,7 @@ def test_smooth_fan_invariant_unimodular_cones():
 
     rng = random.Random(53)
     for _ in range(20):
-        state = random_chain(rng, mode="toric", max_steps=4)
+        state = chain_from_script(random_chain_script(rng, mode="toric", max_steps=4))
         fan = state.fan
         for cone in fan.max_cones:
             rays = [list(fan.rays[i]) for i in sorted(cone)]

@@ -143,6 +143,25 @@ _SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}
     # Rational fields refuse them too, as a model's 'twist' entries do.
     ({"S": {"r": [0.1, "1"]}}, ("'S.r' entry", "0.1")),
     ({"S": {"r": ["1", True]}}, ("'S.r' entry", "true")),
+    ({"S": {"r": ["abc", "1"]}}, ("'S.r' entry", '"abc"')),
+    # A string in place of an array is refused, not read letter by letter.
+    ({"Z": {"a": "11"}}, ("malformed script", "'Z.a' must be an array", '"11"')),
+    ({"S": {"r": "20"}}, ("malformed script", "'S.r' must be an array", '"20"')),
+    ({"mode": "abstract", "Z": {"a": [1, 1]}, "S": {"r": ["2", "0"]},
+      "steps": [{"alpha": "11"}]},
+     ("step 1", "'alpha' must be an array", '"11"')),
+    ({"mode": "abstract", "steps": [{"alpha": [1, 0], "epsS": "1"}]},
+     ("step 1", "'epsS' must be an array", '"1"')),
+    ({"mode": "abstract", "steps": [{"alpha": [1, 1], "epsE": "0"}]},
+     ("step 1", "'epsE' must be an array", '"0"')),
+    ({"steps": [{"center": "D1"}]}, ("step 1", "'center' must be an array", '"D1"')),
+    ({"steps": [{"center": [None, "D1"]}]},
+     ("step 1", "'center' entry must be a component id string", "null")),
+    ({"steps": [{"center": ["D1", 2]}]},
+     ("step 1", "'center' entry must be a component id string", "2")),
+    # Every array a string: read letter by letter, this ran as [1, 1], [2, 0], [1, 1].
+    ({"mode": "abstract", "Z": {"a": "11"}, "S": {"r": "20"},
+      "steps": [{"alpha": "11"}]}, ("'Z.a' must be an array",)),
 ])
 def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script = tmp_path / "s.blowup"
@@ -166,6 +185,14 @@ def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
      ("factor 0", "'twist' entry", "true")),
     ({"factors": [{"pole": [1, 0], "twist": ["0", 0.5]}]},
      ("factor 0", "'twist' entry", "0.5")),
+    ({"factors": [{"pole": [1, 0], "twist": ["x", "0"]}]},
+     ("factor 0", "'twist' entry", '"x"')),
+    ({"factors": [{"pole": [1, 0], "twist": ["0", "abc"]}]},
+     ("factor 0", "'twist' entry", '"abc"')),
+    # A string in place of an array is refused, not read digit by digit.
+    ({"factors": [{"pole": "12"}]}, ("factor 0", "'pole' must be an array", '"12"')),
+    ({"factors": [{"pole": [1, 0], "twist": "00"}]},
+     ("factor 0", "'twist' must be an array", '"00"')),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"

@@ -289,6 +289,7 @@ def test_certificate_members_and_nonmembers():
 def test_exhaustion_grid_counts_the_built_twists(ram_bound, ord_bound):
     # The closed-form count against the family built module by module.
     grid = exhaustion_grid(ram_bound, ord_bound)
+    assert list(grid) == sorted(grid)
     assert set(grid) == candidate_slope_grid(ram_bound, ord_bound)
     for r, count in grid.items():
         assert count == len(set(generic_twists(r, ram_bound, ord_bound))), r
