@@ -391,11 +391,23 @@ def psi_dim_twisted(module: FormalModule, twist: FormalModule, p: int) -> int:
     """psi_dim(tensor(module, pullback(p, twist)), p), computed directly.
 
     Equivalent to composing the three operations (asserted by the test
-    suite), but builds neither the pulled-back twist nor the tensor and adds
-    no coefficients: a summand of the tensor is regular exactly when its two
-    conjugate exponents are negatives of each other, so the regular rank is
-    a sum of per-pair counts of such conjugate pairs.
+    suite), but builds neither the pulled-back twist nor the tensor and
+    forms no CycloRat product of conjugates: a summand of the tensor is
+    regular exactly when its two conjugate exponents are negatives of each
+    other, so the regular rank is a sum of per-pair counts of such conjugate
+    pairs, and each count solves integer congruences on the discrete logs of
+    the coefficient ratios.  Any Galois representative of the twist's
+    factors, reduced or not, gives the same dimension.
     """
+    if p < 1:
+        raise ValueError(f"nearby cycles need p >= 1, got {p}")
+    return _twisted_dim(module, [(b.ram, b.phi.terms, b.reg.rank)
+                                 for b in twist.factors], p)
+
+
+def _twisted_dim(module: FormalModule, twists, p: int) -> int:
+    # psi_dim_twisted for a twist given as raw (ram, terms, rank) factors.
+    #
     # Per pair (a, b), pullback(p, b) splits into h = gcd(rb, p) conjugates
     # of ramification q' = rb/h, and tensor splits each against a into
     # g = gcd(ra, q') summands of rank lcm(ra, q') times the regular ranks,
@@ -404,42 +416,128 @@ def psi_dim_twisted(module: FormalModule, twist: FormalModule, p: int) -> int:
     # any ramification, reduced or not, so the summands are the composed
     # route's up to relabelling and none needs canonicalizing: a summand is
     # regular exactly when its exponent vanishes, that is when one conjugate
-    # is the other's negation term by term, and canonical CycloRats compare
-    # structurally.  Only equal slopes na/ra = p*nb/rb can cancel: otherwise
-    # the deeper pole survives in every summand.
-    if p < 1:
-        raise ValueError(f"nearby cycles need p >= 1, got {p}")
+    # is the other's negation term by term.  Only equal slopes
+    # na/ra = p*nb/rb can cancel: otherwise the deeper pole survives in
+    # every summand.
     total = 0
-    factors = [(a, a.phi.pole_order, a.ram) for a in module.factors]
-    for b in twist.factors:
-        nb, rb = b.phi.pole_order, b.ram
-        h = gcd(rb, p)
-        qh = rb // h  # ramification of b's pulled-back conjugates
-        for a, na, ra in factors:
-            if na * rb == p * nb * ra:
-                g = gcd(ra, qh)
-                negated = [{k: -c for k, c in psi.items()}
-                           for psi in _conjugates(b, h, p // h * (ra // g))]
-                cancelling = sum(map(negated.count, _conjugates(a, g, qh // g)))
-                total += cancelling * (ra // g * qh) * a.reg.rank * b.reg.rank
+    for rb, terms, rank in twists:
+        nb = -terms[0][0] if terms else 0
+        qh = rb // gcd(rb, p)  # ramification of b's pulled-back conjugates
+        for a in module.factors:
+            if a.phi.pole_order * rb == p * nb * a.ram:
+                total += (_cancelling_pairs(a, rb, terms, p)
+                          * lcm(a.ram, qh) * a.reg.rank * rank)
     return p * total
+
+
+def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int:
+    # The number of (j, i) in [0, g) x [0, h) for which conjugate j of a's
+    # exponent, {k*sa: c_k * zeta_ra^(j*k)}, is the negation of the
+    # pulled-back conjugate i of the twist's, {k'*sb: d_k' * zeta_rb^(i*k')}.
+    #
+    # Why the congruences count exactly these pairs: the key sets are the
+    # two exponent sets scaled by positive sa and sb, so they agree only if
+    # the sorted terms pair off t by t with k_t*sa = k'_t*sb, whatever j and
+    # i are.  Then term t cancels iff
+    #     -d/c = zeta_ra^(j*k) * zeta_rb^(-i*k') = zeta_L^(j*k*L/ra - i*k'*L/rb)
+    # with L = lcm(ra, rb) (CycloRat.zeta is a compatible system,
+    # zeta_n^m = zeta_(n/m) for m | n).  The right side is an L-th root of
+    # unity, so no pair cancels unless the ratio rho = -d/c is one, and if
+    # rho = zeta_L^e then, zeta_L having order exactly L, the pairs that
+    # cancel term t are those with j*k*L/ra - i*k'*L/rb = e (mod L).
+    ra, aterms = a.ram, a.phi.terms
+    if len(aterms) != len(terms):
+        return 0
+    h = gcd(rb, p)
+    g = gcd(ra, rb // h)
+    sa, sb = rb // h // g, p // h * (ra // g)
+    L = lcm(ra, rb)
+    congruences = []
+    for (k, c), (kb, d) in zip(aterms, terms):
+        e = _root_log(c, d, L) if k * sa == kb * sb else None
+        if e is None:
+            return 0
+        congruences.append((k * (L // ra), kb * (L // rb), e))
+    if not congruences:  # two regular factors: every pair cancels
+        return g * h
+    # Solve the first congruence for j, one arithmetic progression per i,
+    # and test the rest on its members.
+    (A, B, e), rest = congruences[0], congruences[1:]
+    d = gcd(A, L)
+    step = L // d
+    inverse = pow(A // d, -1, step)
+    count = 0
+    for i in range(h):
+        rhs = e + i * B
+        if rhs % d == 0:
+            count += sum(all((j * A2 - i * B2 - e2) % L == 0 for A2, B2, e2 in rest)
+                         for j in range(rhs // d * inverse % step, g, step))
+    return count
+
+
+def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
+    # The e in [0, L) with -d/c = zeta_L^e, or None if -d/c is no L-th root
+    # of unity.  A rational ratio must be +-1.  Any other ratio rho has a
+    # canonical order n, and if it is a root of unity its order is n or 2n,
+    # so n must divide L.  It is then looked up among the roots of unity of
+    # Q(zeta_n), which form mu_m for m = lcm(2, n): rho = zeta_m^em lies in
+    # mu_L exactly when m divides em*L.
+    if d == -c:
+        return 0
+    if d == c:
+        return None if L % 2 else L // 2
+    if c.order == 1 and d.order == 1:
+        return None
+    rho = -d / c
+    n = rho.order
+    if L % n:
+        return None
+    m = lcm(2, n)
+    em = _roots_of_unity(n).get(rho.coords)
+    return None if em is None or em * L % m else em * L // m
+
+
+@lru_cache(maxsize=16)
+def _roots_of_unity(n: int) -> dict[tuple, int]:
+    # The roots of unity of canonical order n by their coordinates, with
+    # their logs to the base zeta_m, m = lcm(2, n): Q(zeta_n) holds exactly
+    # mu_m.  Callers need n | L, so no table outgrows the covers it serves.
+    m = lcm(2, n)
+    roots = {e: _zeta_pow(m, e) for e in range(m)}
+    return {z.coords: e for e, z in roots.items() if z.order == n}
+
+
+def _witness(module: FormalModule, s: Fraction, p: int) -> tuple:
+    # The witness twist of module slope s along x**p as a raw factor
+    # (ram, terms, rank): the negated principal part of the first slope-s
+    # factor on the degree-p*ram cover, neither gcd-reduced nor
+    # Galois-canonical, or the unit twist for s = 0.
+    if s == 0:
+        return 1, (), 1
+    for f in module.factors:
+        if f.slope == s:
+            return p * f.ram, tuple((k, -c) for k, c in f.phi.terms), 1
+    raise ValueError(f"no factor of slope {s}")
+
+
+def _canonical_twist(raw: tuple) -> FormalModule:
+    ram, terms, rank = raw
+    return FormalModule.of([make_elementary(ram, terms, RegularPart.of_rank(rank))])
 
 
 def witness_twist(module: FormalModule, r: Fraction, p: int) -> FormalModule:
     """A slope-r/p twist N with psi_dim(tensor(module, pullback(p, N)), p) > 0.
 
     Built by negating the principal part of a slope-r factor and pushing it
-    forward by p.  Raises ValueError when no factor has slope r.
+    forward by p, in canonical form.  Raises ValueError when no factor has
+    slope r.
     """
     r = Fraction(r)
     if p < 1:
         raise ValueError(f"twist degree must be >= 1, got {p}")
-    for f in module.factors:
-        if f.slope == r and r > 0:
-            return FormalModule.of([make_elementary(
-                p * f.ram, {k: -c for k, c in f.phi.terms},
-                RegularPart.of_rank(1))])
-    raise ValueError(f"no factor of slope {r}")
+    if r <= 0:
+        raise ValueError(f"no factor of slope {r}")
+    return _canonical_twist(_witness(module, r, p))
 
 
 def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[Fraction]:
@@ -447,8 +545,10 @@ def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[F
 
     The set is {r/p : r a positive slope of the module}, plus 0 exactly when
     the regular part is nonzero.  With verify=True (the default) every
-    member is confirmed through the twisted-vanishing equivalence: a witness
-    twist is constructed and its nearby-cycle dimension, read off by
+    member is confirmed through the twisted-vanishing equivalence: the
+    witness twist, the negated principal part of a slope-r*p factor on the
+    degree-p*ram cover, is measured raw, neither gcd-reduced nor
+    canonicalized, and its nearby-cycle dimension, read off by the kernel of
     psi_dim_twisted from cancellation counts, checked positive.
     """
     if p < 1:
@@ -489,16 +589,16 @@ class WitnessRecord:
 
 
 def _witnesses(module: FormalModule, p: int, claimed: Iterable[Fraction]):
-    # One WitnessRecord per claimed slope, in increasing order: the twist of
-    # witness_twist (the unit for slope 0), measured by psi_dim_twisted.
+    # (r, raw witness, dimension) per claimed slope, in increasing order:
+    # the raw twist of _witness, measured by the kernel of psi_dim_twisted.
     for r in sorted(claimed):
-        twist = regular_module(1) if r == 0 else witness_twist(module, r * p, p)
-        dim = psi_dim_twisted(module, twist, p)
+        raw = _witness(module, r * p, p)
+        dim = _twisted_dim(module, [raw], p)
         if dim <= 0:
             raise FalsificationError(
                 f"witness twist for nearby slope {r} (p={p}) has vanishing "
                 f"nearby cycles; {_replay(module, p)}")
-        yield WitnessRecord(r, twist, dim)
+        yield r, raw, dim
 
 
 @dataclass(frozen=True)
@@ -562,7 +662,8 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     """Nearby slopes along x**p with a two-sided certificate.
 
     Membership of each claimed slope is verified by an explicit witness
-    twist, measured by psi_dim_twisted.  Every other slope r on the bounded
+    twist, measured raw as nearby_slopes measures it; the record holds the
+    twist in canonical form.  Every other slope r on the bounded
     rational grid passes the slope test that psi_dim_twisted applies first:
     no factor of the module has slope r*p, so every twist of slope r, the
     generic ones of exhaustion_grid included, has vanishing nearby cycles.
@@ -577,7 +678,8 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
         raise ValueError(f"certificate bounds must be >= 1, got ram_bound="
                          f"{ram_bound}, ord_bound={ord_bound}")
     claimed = nearby_slopes(module, p, verify=False)
-    members = tuple(_witnesses(module, p, claimed))
+    members = tuple(WitnessRecord(r, _canonical_twist(raw), dim)
+                    for r, raw, dim in _witnesses(module, p, claimed))
 
     # An exhaustion failure replays on the same grid.
     bounds = ("" if (ram_bound, ord_bound) == (DEFAULT_RAM_BOUND, DEFAULT_ORD_BOUND)
@@ -589,7 +691,7 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
         if r in claimed:
             continue
         if r in present:  # claimed missed r: name r's witness twist
-            twist = regular_module(1) if r == 0 else witness_twist(module, r * p, p)
+            twist = _canonical_twist(_witness(module, r * p, p))
             raise FalsificationError(
                 f"slope {r} was predicted absent (p={p}) but twist "
                 f"{_expr(twist)} gives nearby-cycle dimension "

@@ -39,11 +39,18 @@ class ScriptError(SlopelabError):
 
 
 def json_int(value, field: str) -> int:
-    """int(value) for an integer field of a model or script; a JSON float or
-    boolean, which int() would truncate, is refused naming the field."""
-    if isinstance(value, (bool, float)):
-        raise ScriptError(f"{field} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    """An integer field of a model or script: a JSON integer or a numeric
+    string such as "1".  A JSON boolean or float, which int() would
+    truncate, and a string that is no integer are refused naming the
+    field."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ScriptError(f"{field} must be an integer, got {json.dumps(value)}")
 
 
 def json_list(value, field: str) -> list | tuple:

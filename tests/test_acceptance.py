@@ -8,7 +8,10 @@ line.  Corpora are seed-controlled and shared across criteria.
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
@@ -16,13 +19,16 @@ from slopelab import selftest
 from slopelab.cli import main as cli_main
 from slopelab.elementary import (
     certify_nearby_slopes,
+    nearby_slopes,
     psi_dim,
     psi_dim_twisted,
     pullback,
     regular_module,
     slopes,
     tensor,
+    witness_twist,
 )
+from slopelab.elementary import _twisted_dim, _witness
 from slopelab.exact_algebra import MultiIndex
 from slopelab.expr import parse_and_eval
 from slopelab.monomial_models import MonomialFunction
@@ -206,6 +212,39 @@ def test_criterion_9_cli_roundtrip_determinism(capsys):
     assert cert1 == cert2
     assert json.loads(first)["ok"] is True
     _report(9, "200 expressions round-trip; repeated CLI runs byte-identical")
+
+
+def test_raw_witnesses_measure_like_canonical_ones(corpus, monkeypatch):
+    """nearby_slopes measures each witness twist raw, on the degree-p*ram
+    cover and in no canonical form; every raw dimension equals that of the
+    canonical witness twist, for every claimed slope of the corpus, p <= 6.
+    The last case is an unreduced cover: p*ram = 2 divides the exponent -2."""
+    cases = [(m, p) for m in corpus for p in range(1, 7)]
+    cases.append((parse_and_eval("El(1,u^-2,rank=1)"), 2))
+    elementary_module = sys.modules["slopelab.elementary"]
+
+    def refuse(*_):
+        raise AssertionError("a witness check built a canonical form or a product")
+
+    raw = []
+    with monkeypatch.context() as patched:
+        for name in ("make_elementary", "_conjugates"):
+            patched.setattr(elementary_module, name, refuse)
+        for m, p in cases:
+            for r in sorted(nearby_slopes(m, p)):
+                witness = _witness(m, r * p, p)
+                raw.append((m, p, r, witness, _twisted_dim(m, [witness], p)))
+    unreduced = 0
+    for m, p, r, (ram, terms, rank), dim in raw:
+        twist = regular_module(1) if r == 0 else witness_twist(m, r * p, p)
+        assert dim == psi_dim_twisted(m, twist, p) > 0, (m, p, r)
+        unreduced += reduce(gcd, (k for k, _ in terms), ram) > 1
+    assert unreduced > 500
+    # The last case: raw El(2, -u^-2) is canonically El(1, -u^-1) of rank 2,
+    # which pulls back to rank 2 of slope 2 and cancels: dimension 2 * 2.
+    m, p, r, witness, dim = raw[-1]
+    assert witness[0] == 2 and witness_twist(m, r * p, p).factors[0].ram == 1
+    assert dim == 4 == psi_dim(tensor(m, pullback(p, witness_twist(m, r * p, p))), p)
 
 
 def test_criterion_failures_are_replayable(monkeypatch):

@@ -162,6 +162,11 @@ _SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}
     # Every array a string: read letter by letter, this ran as [1, 1], [2, 0], [1, 1].
     ({"mode": "abstract", "Z": {"a": "11"}, "S": {"r": "20"},
       "steps": [{"alpha": "11"}]}, ("'Z.a' must be an array",)),
+    # Integer fields refuse strings that are no integer, naming the field as
+    # 'S.r' does.
+    ({"Z": {"a": ["abc", 1]}}, ("'Z.a' entry must be an integer, got \"abc\"",)),
+    ({"mode": "abstract", "steps": [{"alpha": ["x", 0], "epsS": [1], "epsE": []}]},
+     ("step 1", "'alpha' entry must be an integer, got \"x\"")),
 ])
 def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script = tmp_path / "s.blowup"
@@ -193,12 +198,28 @@ def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     ({"factors": [{"pole": "12"}]}, ("factor 0", "'pole' must be an array", '"12"')),
     ({"factors": [{"pole": [1, 0], "twist": "00"}]},
      ("factor 0", "'twist' must be an array", '"00"')),
+    # Integer fields refuse strings that are no integer, naming the field.
+    ({"dim": "two"}, ("'dim' must be an integer, got \"two\"",)),
+    ({"factors": [{"pole": ["x", 1]}]},
+     ("factor 0: 'pole' entry must be an integer, got \"x\"",)),
+    ({"factors": [{"pole": [1, 0], "rank": "1.5"}]},
+     ("factor 0: 'rank' must be an integer, got \"1.5\"",)),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
     model.write_text(json.dumps({"dim": 2, "factors": [{"pole": [1, 0]}], **fields}))
     code, _, err = run(capsys, "bound", "-m", str(model), "-f", "x1")
     assert_clean_error(code, err, *words)
+
+
+def test_integer_fields_take_numeric_strings(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text(json.dumps({"dim": "2", "factors": [{"pole": ["1", 0]}]}))
+    assert run(capsys, "bound", "-m", str(model), "-f", "x1")[0] == 0
+    script = tmp_path / "s.blowup"
+    script.write_text(json.dumps({**_SCRIPT, "dim": "2", "Z": {"a": ["1", 1]},
+                                  "steps": []}))
+    assert run(capsys, "blowup", "-s", str(script), "--verify")[0] == 0
 
 
 def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
@@ -346,7 +367,7 @@ def test_selftest_certificate_failure_carries_one_replay(capsys, monkeypatch):
 
     def failing_certificate(*args, **kwargs):
         with monkeypatch.context() as patched:
-            patched.setattr(elementary_module, "psi_dim_twisted", lambda *_: 0)
+            patched.setattr(elementary_module, "_twisted_dim", lambda *_: 0)
             return certify(*args, **kwargs)
 
     monkeypatch.setattr(selftest, "certify_nearby_slopes", failing_certificate)

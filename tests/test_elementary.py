@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import sys
@@ -31,7 +32,7 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _galois_canonical
+from slopelab.elementary import _galois_canonical, _root_log
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.expr import module_to_expr, parse_and_eval
@@ -222,7 +223,7 @@ def _replayable(message, module, p):
 
 
 def test_falsified_witness_names_the_module_and_replay(monkeypatch):
-    monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", lambda *_: 0)
+    monkeypatch.setattr(_ELEMENTARY, "_twisted_dim", lambda *_: 0)
     m = elementary(2, {-3: CycloRat.zeta(3), -1: 1}) + regular_module(1)
     with pytest.raises(FalsificationError) as info:
         nearby_slopes(m, 3)
@@ -339,27 +340,85 @@ def test_conjugate_sum_count_matches_the_canonical_route():
     assert cancelling >= 20
 
 
-def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
-    # Count the pairs psi_dim_twisted visits by replaying its loop; the
-    # conjugates must be listed for exactly the equal-slope ones, once for
-    # each side of the pair.
-    visited = {"all": 0, "equal": 0, "kernel": 0}
-    original = _ELEMENTARY.psi_dim_twisted
-    kernel = _ELEMENTARY._conjugates
+def test_all_cyclotomic_coefficients_match_the_composed_route():
+    # Oracle for the discrete-log count where every coefficient is
+    # cyclotomic.  Each twist negates a Galois conjugate of its factor's
+    # exponent on the degree-p cover, with each coefficient also multiplied
+    # by 1, by -1, by a root of unity or by 2 or 1 + zeta(4), which are none.
+    # Every odd draw keeps both covers odd, where -1 is no L-th root of
+    # unity.
+    rng = random.Random(2026)
+    z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
+    coeffs = (z3, z4, z5, 2 * z3, 1 + z4)
+    multipliers = (1, 1, -1, z3, z4, z5, 2, 1 + z4)
+    outcomes = {"cancel": 0, "equal slope, no cancelling pair": 0}
+    for i in range(80):
+        odd = i % 2
+        terms = {-k: rng.choice(coeffs)
+                 for k in rng.sample(range(1, 7), rng.randint(1, 2))}
+        a = make_elementary(rng.choice((1, 3, 5) if odd else (2, 4, 6)), terms,
+                            RegularPart.of_rank(rng.randint(1, 2)))
+        p = rng.choice((1, 3) if odd else (1, 2))
+        j = rng.randrange(a.ram)
+        b = make_elementary(
+            p * a.ram, {k: -c * CycloRat.zeta(a.ram, j * k) * rng.choice(multipliers)
+                        for k, c in a.phi.terms}, RegularPart.of_rank(1))
+        assert b.ram % 2 or not odd
+        m, n = FormalModule.of([a]), FormalModule.of([b])
+        for s in (1, 2, 3):
+            fast = psi_dim_twisted(m, n, s)
+            assert fast == psi_dim(tensor(m, pullback(s, n)), s), (a, b, s)
+            if a.slope == s * b.slope:
+                outcomes["cancel" if fast else "equal slope, no cancelling pair"] += 1
+    assert min(outcomes.values()) >= 15, outcomes
 
-    def counting(module, twist, p):
-        for b in twist.factors:
+
+def test_root_log_matches_the_brute_force_search(monkeypatch):
+    # The discrete log of each coefficient ratio against the search over
+    # every zeta_L^e, e < L; -zeta(3) and -zeta(5) lie in mu_L only for
+    # even L, and 2 and (1 + zeta(4))/zeta(3) in none.
+    z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
+    values = [CycloRat.from_rational(x) for x in (1, -1, 2)] + [
+        z3, z4, z5, -z3, 1 + z4, 2 * z3, CycloRat.zeta(12, 5), CycloRat.zeta(8, 3)]
+    found = 0
+    for c, d in itertools.product(values, repeat=2):
+        rho = -d / c
+        for L in range(1, 41):
+            logs = [e for e in range(L) if CycloRat.zeta(L, e) == rho]
+            assert _root_log(c, d, L) == (logs[0] if logs else None), (c, d, L)
+            found += bool(logs)
+    assert 0 < found < 121 * 40 // 2
+    # A ratio whose field order does not divide L is no L-th root of unity,
+    # refused before a table of the roots of its field is built.
+    def refuse(n):
+        raise AssertionError(f"built the roots of unity of Q(zeta({n}))")
+
+    monkeypatch.setattr(_ELEMENTARY, "_roots_of_unity", refuse)
+    assert _root_log(CycloRat.from_rational(1), -CycloRat.zeta(7), 6) is None
+
+
+def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
+    # Count the pairs the witness checks visit by replaying the loop of
+    # _twisted_dim, which measures the raw witness twists; the cancellation
+    # kernel must run for exactly the equal-slope ones, once per pair.
+    visited = {"all": 0, "equal": 0, "kernel": 0}
+    original = _ELEMENTARY._twisted_dim
+    kernel = _ELEMENTARY._cancelling_pairs
+
+    def counting(module, twists, p):
+        for ram, terms, _ in twists:
+            slope = F(-terms[0][0], ram) if terms else 0
             for a in module.factors:
                 visited["all"] += 1
-                visited["equal"] += a.slope == p * b.slope
-        return original(module, twist, p)
+                visited["equal"] += a.slope == p * slope
+        return original(module, twists, p)
 
-    def counting_kernel(f, count, scale):
+    def counting_kernel(*args):
         visited["kernel"] += 1
-        return kernel(f, count, scale)
+        return kernel(*args)
 
-    monkeypatch.setattr(_ELEMENTARY, "psi_dim_twisted", counting)
-    monkeypatch.setattr(_ELEMENTARY, "_conjugates", counting_kernel)
+    monkeypatch.setattr(_ELEMENTARY, "_twisted_dim", counting)
+    monkeypatch.setattr(_ELEMENTARY, "_cancelling_pairs", counting_kernel)
     rng = random.Random(47)
     m = random_formal_module(rng)
     while len(slopes(m)) < 3:
@@ -368,14 +427,14 @@ def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
     nearby_slopes(m, 2)
     witnessed = visited["equal"]
     assert 0 < witnessed < visited["all"]
-    assert visited["kernel"] == 2 * witnessed
+    assert visited["kernel"] == witnessed
     # A certificate checks its members with the same witnesses; the
     # exhaustion checks only slopes the module lacks, so it adds no
     # equal-slope pair and no kernel call.
     visited.update(all=0, equal=0, kernel=0)
     certify_nearby_slopes(m, 2)
     assert visited["all"] > witnessed and visited["equal"] == witnessed
-    assert visited["kernel"] == 2 * witnessed
+    assert visited["kernel"] == witnessed
 
 
 def test_certificate_members_match_the_composed_route(monkeypatch):
