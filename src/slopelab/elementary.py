@@ -106,8 +106,13 @@ class RegularPart:
         the d residues (e + j)/d, and the rank multiplies by d."""
         if d == 1:
             return self
-        return RegularPart([((e + j) / d, m) for e, m in self.exps
-                            for j in range(d)])
+        # With every e in [0, 1), the residues (e + j)/d are distinct, lie in
+        # [0, 1) and come out ascending with j as the outer loop: the
+        # normalized multiset as it stands.
+        out = object.__new__(RegularPart)
+        object.__setattr__(out, "exps", tuple(((e + j) / d, m) for j in range(d)
+                                              for e, m in self.exps))
+        return out
 
     def tensor(self, other: "RegularPart") -> "RegularPart":
         return RegularPart([(e1 + e2, m1 * m2)
@@ -162,6 +167,15 @@ def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
     # j*k agrees mod ram (sort keys are canonical), so grouping by that
     # residue drops only conjugates that lose, and only the one survivor
     # is ever built.
+    #
+    # A monomial coefficient c = x * zeta_m^e, x a nonzero rational, is
+    # compared without the product: c * zeta_ram^r = x * zeta_M^t with
+    # M = lcm(m, ram) and t = e*M/m + r*M/ram (mod M).  Scaling by x keeps
+    # the least field, so the product's key is zeta_M^t's order with its
+    # coordinates scaled by x: for x > 0 the residues compare as zeta_M^t's
+    # own keys do, for x < 0 by least order and then greatest coordinates.
+    # Distinct r give distinct t mod M, hence distinct roots and no ties.
+    # Any other coefficient, such as 1 + zeta(4), keeps the product.
     phi = RamifiedExponent(ram, terms)
     if ram == 1 or phi.is_zero:
         return phi
@@ -170,13 +184,48 @@ def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
         by_residue: dict[int, list[int]] = {}
         for j in survivors:
             by_residue.setdefault(j * k % ram, []).append(j)
-        best = min(by_residue,
-                   key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
-        survivors = by_residue[best]
+        survivors = by_residue[_least_residue(c, ram, by_residue)]
         if len(survivors) == 1:
             break
     j = survivors[0]
     return phi.substitute_root(ram, j, 1) if j else phi
+
+
+def _least_residue(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
+    # The residue r that minimizes (c * zeta_ram^r).sort_key(), by
+    # root-of-unity logs when c is monomial (see _galois_canonical).
+    mono = _monomial(c, ram)
+    if mono is None:
+        return min(residues, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
+    x, m, e = mono
+    M = lcm(m, ram)
+    roots = {r: _zeta_pow(M, (e * (M // m) + r * (M // ram)) % M) for r in residues}
+    if x > 0:
+        return min(roots, key=lambda r: roots[r].sort_key())
+    least = min(z.order for z in roots.values())
+    return max((r for r, z in roots.items() if z.order == least),
+               key=lambda r: roots[r].coords)
+
+
+def _monomial(c: CycloRat, ram: int) -> Optional[tuple[Fraction, int, int]]:
+    # (x, m, e) with c = x * zeta_m^e and x a nonzero rational, or None.  A
+    # rational c is x * zeta_1^0, and one nonzero coordinate at index i is
+    # x * zeta_n^i in c's own field Q(zeta_n).  Otherwise c / x, x the first
+    # nonzero coordinate, is looked up among the roots of unity of Q(zeta_n),
+    # mu_m for m = lcm(2, n), but only while that table stays within a few
+    # orbits of ram products: Q(zeta(2003)) alone holds 4006 roots.
+    n, coords = c.order, c.coords
+    if n == 1:
+        return coords[0], 1, 0
+    nonzero = [i for i, a in enumerate(coords) if a]
+    x = coords[nonzero[0]]
+    if len(nonzero) == 1:
+        return x, n, nonzero[0]
+    m = lcm(2, n)
+    if m > 4 * ram:
+        return None
+    e = _roots_of_unity(n).get(tuple(a / x for a in coords))
+    return None if e is None else (x, m, e)
 
 
 def make_elementary(ram: int,
@@ -501,7 +550,8 @@ def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
 def _roots_of_unity(n: int) -> dict[tuple, int]:
     # The roots of unity of canonical order n by their coordinates, with
     # their logs to the base zeta_m, m = lcm(2, n): Q(zeta_n) holds exactly
-    # mu_m.  Callers need n | L, so no table outgrows the covers it serves.
+    # mu_m.  _root_log needs n | L and _monomial m <= 4*ram, so no table
+    # outgrows the covers it serves.
     m = lcm(2, n)
     roots = {e: _zeta_pow(m, e) for e in range(m)}
     return {z.coords: e for e, z in roots.items() if z.order == n}
@@ -668,7 +718,9 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     no factor of the module has slope r*p, so every twist of slope r, the
     generic ones of exhaustion_grid included, has vanishing nearby cycles.
     The record counts that family; its twists are neither built nor
-    measured one at a time.  The composed route
+    measured one at a time.  The records are built once per bound pair and
+    shared by every certificate on that grid, which looks up only its
+    claimed and present slopes.  The composed route
     psi_dim(tensor(module, pullback(p, twist)), p) is kept as the test
     oracle.  A failure on either side raises FalsificationError.  Bounds
     below 1 would leave the grid vacuous and raise ValueError before any
@@ -684,18 +736,25 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     # An exhaustion failure replays on the same grid.
     bounds = ("" if (ram_bound, ord_bound) == (DEFAULT_RAM_BOUND, DEFAULT_ORD_BOUND)
               else f" --ram-bound {ram_bound} --ord-bound {ord_bound}")
-    present = {s / p for s in slopes(module)}
-    grid = exhaustion_grid(ram_bound, ord_bound)
-    nonmembers = []
-    for r, count in grid.items():
-        if r in claimed:
-            continue
-        if r in present:  # claimed missed r: name r's witness twist
-            twist = _canonical_twist(_witness(module, r * p, p))
-            raise FalsificationError(
-                f"slope {r} was predicted absent (p={p}) but twist "
-                f"{_expr(twist)} gives nearby-cycle dimension "
-                f"{psi_dim_twisted(module, twist, p)}; {_replay(module, p)}{bounds}")
-        nonmembers.append(ExhaustionRecord(r, count))
-    return NearbyCertificate(p, ram_bound, ord_bound,
-                             members, tuple(nonmembers))
+    records, index = _exhaustion_records(ram_bound, ord_bound)
+    missed = [r for r in {s / p for s in slopes(module)} - claimed if r in index]
+    if missed:  # claimed missed r: name the least such r's witness twist
+        r = min(missed)
+        twist = _canonical_twist(_witness(module, r * p, p))
+        raise FalsificationError(
+            f"slope {r} was predicted absent (p={p}) but twist "
+            f"{_expr(twist)} gives nearby-cycle dimension "
+            f"{psi_dim_twisted(module, twist, p)}; {_replay(module, p)}{bounds}")
+    skip = {index[r] for r in claimed if r in index}
+    nonmembers = tuple(rec for i, rec in enumerate(records) if i not in skip)
+    return NearbyCertificate(p, ram_bound, ord_bound, members, nonmembers)
+
+
+@lru_cache(maxsize=8)
+def _exhaustion_records(ram_bound: int, ord_bound: int):
+    # The grid of a bound pair as immutable records in increasing slope
+    # order, with each slope's index: a certificate looks up only its few
+    # claimed and present slopes and takes the rest by position.
+    records = tuple(ExhaustionRecord(r, count)
+                    for r, count in exhaustion_grid(ram_bound, ord_bound).items())
+    return records, {rec.slope: i for i, rec in enumerate(records)}

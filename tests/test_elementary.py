@@ -7,7 +7,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -32,7 +32,7 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _galois_canonical, _root_log
+from slopelab.elementary import _galois_canonical, _least_residue, _monomial, _root_log
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent
 from slopelab.expr import module_to_expr, parse_and_eval
@@ -51,24 +51,82 @@ F = Fraction
 def test_pruned_galois_canonical_matches_the_full_orbit():
     # Oracle: build all ram conjugates and take the least sort key.  Leading
     # exponents sharing a factor with ram make several j tie on the first
-    # term, so later terms must break the tie.
+    # term, so later terms must break the tie.  The coefficients mix
+    # monomial ones, compared by root-of-unity logs, among them negative
+    # ones with several nonzero coordinates (zeta(3)^2 = -1 - zeta(3)),
+    # with sums that keep the product.
     rng = random.Random(31)
-    z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
-    coeffs = (F(1), F(-1), F(2, 3), z3, -z3, z4, z5, 1 + z4, z3 * z5)
+    z, q = CycloRat.zeta, CycloRat.from_rational
+    monomial = (q(1), q(-1), q(F(2, 3)), q(F(-3, 2)), z(3), -z(3), z(3, 2), -2 * z(3, 2),
+                z(4), z(5), z(3) * z(5), -z(15, 13), -2 * z(12, 7), -z(8, 3),
+                3 * z(8, 3), -z(9, 7), z(20, 11) / 2)
+    others = (1 + z(4), -2 - z(3), 1 + z(12), z(5) - z(7), 2 + z(8, 3))
+    coeffs = monomial + others
     ties = 0
     for _ in range(300):
-        ram = rng.randint(2, 12)
-        shared = [k for k in range(2, 13) if gcd(k, ram) > 1]
-        lead = rng.choice(shared if rng.random() < 0.5 else range(1, 13))
+        ram = rng.randint(2, 36)
+        shared = [k for k in range(2, 37) if gcd(k, ram) > 1]
+        lead = rng.choice(shared if rng.random() < 0.5 else range(1, 37))
         tail = rng.sample(range(1, lead), min(rng.randint(0, 2), lead - 1))
-        phi = RamifiedExponent(ram, {-k: rng.choice(coeffs) for k in [lead] + tail})
+        # Conjugates are products in Q(zeta_lcm(order, ram)): keep it small.
+        fits = [c for c in coeffs if lcm(c.order, ram) <= 72]
+        phi = RamifiedExponent(ram, {-k: rng.choice(fits) for k in [lead] + tail})
         if phi.ram == 1:
             continue
         oracle = min((phi.substitute_root(phi.ram, j) for j in range(phi.ram)),
                      key=lambda cand: cand.sort_key())
-        assert _galois_canonical(phi.ram, phi.terms) == oracle, phi
+        assert _galois_canonical.__wrapped__(phi.ram, phi.terms) == oracle, phi
         ties += gcd(phi.terms[0][0], phi.ram) > 1 and len(phi.terms) > 1
     assert ties >= 100
+    shapes = {(x < 0, sum(map(bool, c.coords)) > 1)
+              for c in monomial for x, _, _ in [_monomial(c, 36)]}
+    assert (True, True) in shapes and len(shapes) == 4
+    assert not any(_monomial(c, 36) for c in others)
+
+
+def test_monomial_decomposition_matches_the_brute_force_search():
+    # c = x * zeta_m^e against the search over every root of unity of c's
+    # field, mu_lcm(2, n), and the residue it picks against the products.
+    rng = random.Random(59)
+    z = CycloRat.zeta
+    outcomes = {"monomial": 0, "not monomial": 0}
+    for _ in range(150):
+        n = rng.choice([3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 36])
+        c = F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3)) * z(n, rng.randrange(n))
+        if rng.random() < 0.5:
+            c += z(n, rng.randrange(n))
+        if c.is_zero:
+            continue
+        m = lcm(2, c.order)
+        brute = set()
+        for e in range(m):
+            ratio = c * z(m, -e)
+            if ratio.is_rational:
+                brute.add((ratio.as_rational(), z(m, e)))
+        found = _monomial(c, m)  # ram = m clears the size guard
+        outcomes["monomial" if found else "not monomial"] += 1
+        if found is None:
+            assert not brute, c
+        else:
+            x, k, e = found
+            assert (x, z(k, e)) in brute, c
+        ram = rng.choice([r for r in range(2, 37) if lcm(c.order, r) <= 72])
+        residues = rng.sample(range(ram), rng.randint(1, ram))
+        assert _least_residue(c, ram, residues) == min(
+            residues, key=lambda r: (c * z(ram, r)).sort_key()), (c, ram)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_closed_form_regular_pushforward_matches_the_constructor():
+    rng = random.Random(61)
+    for _ in range(300):
+        reg = RegularPart.from_exponents(
+            F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4)))
+        d = rng.randint(1, 36)
+        fast = reg.pushforward(d)
+        slow = RegularPart([((e + j) / d, m) for e, m in reg.exps for j in range(d)])
+        assert fast.exps == slow.exps and hash(fast) == hash(slow), (reg, d)
+        assert fast.rank == d * reg.rank
 
 
 def test_rank_and_slope_of_elementary_factor():
@@ -231,20 +289,52 @@ def test_falsified_witness_names_the_module_and_replay(monkeypatch):
 
 
 def test_falsified_exhaustion_names_the_twist_and_replay(monkeypatch):
-    # A nearby-slope set that misses slope 1: the exhaustion's slope test
-    # finds the factor of slope 1*p and names that slope's witness twist.
+    # A nearby-slope set that misses slopes 1/2 and 1: the exhaustion's
+    # slope test finds the factors of slope r*p and names the least missed
+    # slope with its witness twist.
     monkeypatch.setattr(_ELEMENTARY, "nearby_slopes",
-                        lambda *args, **kw: nearby_slopes(*args, **kw) - {F(1)})
-    m = elementary(1, {-2: CycloRat.zeta(4)})
+                        lambda *args, **kw: nearby_slopes(*args, **kw) - {F(1, 2), F(1)})
+    m = elementary(1, {-2: CycloRat.zeta(4)}) + elementary(1, {-1: 1})
     with pytest.raises(FalsificationError) as info:
         certify_nearby_slopes(m, 2, ram_bound=2, ord_bound=2)
     message = str(info.value)
     _replayable(message, m, 2)
+    assert message.startswith("slope 1/2 was predicted absent (p=2) but twist ")
     twist = message.split("but twist ")[1].split(" gives")[0]
-    assert not parse_and_eval(twist).is_zero
+    assert parse_and_eval(twist) == witness_twist(m, F(1), 2)
     assert "nearby-cycle dimension 0;" not in message
     # The replay reruns the exhaustion on the same grid.
     assert message.endswith("--cert --ram-bound 2 --ord-bound 2")
+
+
+def _grid_without_members(cert):
+    return [(r, count) for r, count in exhaustion_grid(cert.ram_bound, cert.ord_bound).items()
+            if r not in cert.slopes]
+
+
+@pytest.mark.parametrize("ram_bound, ord_bound", [(12, 24), (4, 6), (30, 60)])
+def test_nonmembers_are_the_grid_without_the_members(ram_bound, ord_bound):
+    rng = random.Random(67)
+    on_grid = 0
+    for _ in range(12):
+        m, p = random_formal_module(rng), rng.randint(1, 3)
+        cert = certify_nearby_slopes(m, p, ram_bound=ram_bound, ord_bound=ord_bound)
+        assert [(rec.slope, rec.twists_checked)
+                for rec in cert.nonmembers] == _grid_without_members(cert)
+        on_grid += len(cert.slopes & set(exhaustion_grid(ram_bound, ord_bound)))
+    assert on_grid >= 12
+
+
+def test_exhaustion_records_outlast_their_cache():
+    # More bound pairs than the record cache holds, visited twice in turn.
+    m = elementary(2, {-3: 1}) + elementary(1, {-2: 1}) + regular_module(1)
+    pairs = [(t, t + k) for t in range(1, 7) for k in (0, 3)]
+    assert len(pairs) > _ELEMENTARY._exhaustion_records.cache_info().maxsize
+    for _ in range(2):
+        for ram_bound, ord_bound in pairs:
+            cert = certify_nearby_slopes(m, 2, ram_bound=ram_bound, ord_bound=ord_bound)
+            assert [(rec.slope, rec.twists_checked)
+                    for rec in cert.nonmembers] == _grid_without_members(cert)
 
 
 def test_witness_twist_examples():
