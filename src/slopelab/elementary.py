@@ -175,7 +175,11 @@ def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
     # coordinates scaled by x: for x > 0 the residues compare as zeta_M^t's
     # own keys do, for x < 0 by least order and then greatest coordinates.
     # Distinct r give distinct t mod M, hence distinct roots and no ties.
-    # Any other coefficient, such as 1 + zeta(4), keeps the product.
+    # Only rational c and c with one nonzero coordinate are read as
+    # monomials.  Any other coefficient keeps the product: a sum such as
+    # 1 + zeta(4), and also a monomial spread over several coordinates such
+    # as zeta(3)^2 = -1 - zeta(3), which is about 1% of the coefficients the
+    # seeded certificate and witness sweeps canonicalize.
     phi = RamifiedExponent(ram, terms)
     if ram == 1 or phi.is_zero:
         return phi
@@ -194,7 +198,7 @@ def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
 def _least_residue(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
     # The residue r that minimizes (c * zeta_ram^r).sort_key(), by
     # root-of-unity logs when c is monomial (see _galois_canonical).
-    mono = _monomial(c, ram)
+    mono = _monomial(c)
     if mono is None:
         return min(residues, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
     x, m, e = mono
@@ -207,25 +211,17 @@ def _least_residue(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
                key=lambda r: roots[r].coords)
 
 
-def _monomial(c: CycloRat, ram: int) -> Optional[tuple[Fraction, int, int]]:
-    # (x, m, e) with c = x * zeta_m^e and x a nonzero rational, or None.  A
-    # rational c is x * zeta_1^0, and one nonzero coordinate at index i is
-    # x * zeta_n^i in c's own field Q(zeta_n).  Otherwise c / x, x the first
-    # nonzero coordinate, is looked up among the roots of unity of Q(zeta_n),
-    # mu_m for m = lcm(2, n), but only while that table stays within a few
-    # orbits of ram products: Q(zeta(2003)) alone holds 4006 roots.
+def _monomial(c: CycloRat) -> Optional[tuple[Fraction, int, int]]:
+    # (x, m, e) with c = x * zeta_m^e and x a nonzero rational, for c
+    # rational (x * zeta_1^0) or with one nonzero coordinate at index i
+    # (x * zeta_n^i in c's own field Q(zeta_n)); None otherwise.
     n, coords = c.order, c.coords
     if n == 1:
         return coords[0], 1, 0
     nonzero = [i for i, a in enumerate(coords) if a]
-    x = coords[nonzero[0]]
     if len(nonzero) == 1:
-        return x, n, nonzero[0]
-    m = lcm(2, n)
-    if m > 4 * ram:
-        return None
-    e = _roots_of_unity(n).get(tuple(a / x for a in coords))
-    return None if e is None else (x, m, e)
+        return coords[nonzero[0]], n, nonzero[0]
+    return None
 
 
 def make_elementary(ram: int,
@@ -550,8 +546,7 @@ def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
 def _roots_of_unity(n: int) -> dict[tuple, int]:
     # The roots of unity of canonical order n by their coordinates, with
     # their logs to the base zeta_m, m = lcm(2, n): Q(zeta_n) holds exactly
-    # mu_m.  _root_log needs n | L and _monomial m <= 4*ram, so no table
-    # outgrows the covers it serves.
+    # mu_m.  Callers need n | L, so no table outgrows the covers it serves.
     m = lcm(2, n)
     roots = {e: _zeta_pow(m, e) for e in range(m)}
     return {z.coords: e for e, z in roots.items() if z.order == n}

@@ -232,25 +232,6 @@ def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
     assert curves[2].startswith("curve (2, 1, 3, 1, 2):")
 
 
-@pytest.mark.parametrize("phi, shown", [
-    ("zeta(2003)*u^-1", "-zeta(2003)*u^-1"),
-    ("(zeta(2003) + zeta(2003)^2)*u^-1", "(-zeta(2003) - zeta(2003)^2)*u^-1"),
-])
-def test_high_conductor_coefficients_build_no_root_table(capsys, monkeypatch, phi, shown):
-    # Q(zeta(2003)) holds 4006 roots of unity: far more than the two
-    # conjugates of a ramification-2 exponent, so canonicalization keeps the
-    # products and builds no table of them.
-    def refuse(n):
-        raise AssertionError(f"built the roots of unity of Q(zeta({n}))")
-
-    elementary_module = sys.modules["slopelab.elementary"]
-    elementary_module._galois_canonical.cache_clear()
-    monkeypatch.setattr(elementary_module, "_roots_of_unity", refuse)
-    code, out, _ = run(capsys, "slopes", "-e", f"El(2, {phi}, rank=1)")
-    assert code == 0
-    assert out == f"expr: El(2, {shown}, rank=1)\nrank: 2\nslopes: 1/2:2\nirregularity: 1\n"
-
-
 # Pinned stdout.  El(600) is certified through a twist of ramification 1200,
 # and the spelling of every root of unity must not drift; the selftest's
 # report must not move when its checks are rewritten.
