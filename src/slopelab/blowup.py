@@ -394,13 +394,6 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
         yield state
 
 
-def chain_from_script(script: Mapping) -> BlowupState:
-    """Fold blow_up over a script dictionary: the last state of iter_chain."""
-    for state in iter_chain(script):
-        pass
-    return state
-
-
 def load_script(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -18,7 +18,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import CycloRat, RamifiedExponent, _hash_once, _zeta_pow
+from slopelab.exact_algebra import (CycloRat, RamifiedExponent, _hash_once, _monomial,
+                                    _zeta_pow)
 
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
@@ -55,10 +56,9 @@ class RegularPart:
     __hash__ = _hash_once
     __reduce__ = _reduce_fields
 
-    def __init__(self, exps: Iterable[tuple[Fraction, int]] | Mapping[Fraction, int] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
+    def __init__(self, exps: Iterable[tuple[Fraction, int]] = ()):
         merged: dict[Fraction, int] = {}
-        for e, mult in items:
+        for e, mult in exps:
             if mult < 0:
                 raise ValueError("multiplicities must be >= 0")
             if mult == 0:
@@ -68,10 +68,10 @@ class RegularPart:
         object.__setattr__(self, "exps", tuple(sorted(merged.items())))
 
     @classmethod
-    def of_rank(cls, rank: int, exponent=Fraction(0)) -> "RegularPart":
+    def of_rank(cls, rank: int) -> "RegularPart":
         if rank < 0:
             raise ValueError("rank must be >= 0")
-        return cls({Fraction(exponent): rank} if rank else {})
+        return cls([(Fraction(0), rank)])
 
     @classmethod
     def from_exponents(cls, exponents: Iterable) -> "RegularPart":
@@ -156,7 +156,7 @@ class ElementaryModule:
 
 
 @lru_cache(maxsize=65536)
-def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
+def _galois_canonical(phi: RamifiedExponent) -> RamifiedExponent:
     # Distinguished orbit representative under u -> zeta_ram^j * u:
     # lexicographically minimal coefficient sequence, graded by exponent.
     #
@@ -168,19 +168,18 @@ def _galois_canonical(ram: int, terms: tuple) -> RamifiedExponent:
     # residue drops only conjugates that lose, and only the one survivor
     # is ever built.
     #
-    # A monomial coefficient c = x * zeta_m^e, x a nonzero rational, is
+    # A monomial coefficient c = x * zeta_m^e, x a positive rational, is
     # compared without the product: c * zeta_ram^r = x * zeta_M^t with
-    # M = lcm(m, ram) and t = e*M/m + r*M/ram (mod M).  Scaling by x keeps
-    # the least field, so the product's key is zeta_M^t's order with its
-    # coordinates scaled by x: for x > 0 the residues compare as zeta_M^t's
-    # own keys do, for x < 0 by least order and then greatest coordinates.
-    # Distinct r give distinct t mod M, hence distinct roots and no ties.
-    # Only rational c and c with one nonzero coordinate are read as
-    # monomials.  Any other coefficient keeps the product: a sum such as
-    # 1 + zeta(4), and also a monomial spread over several coordinates such
-    # as zeta(3)^2 = -1 - zeta(3), which is about 1% of the coefficients the
+    # M = lcm(m, ram) and t = e*M/m + r*M/ram (mod M).  Scaling by x > 0
+    # keeps the least field and the order of the coordinates, so the
+    # residues compare as the keys of zeta_M^t do.  Distinct r give distinct
+    # t mod M, hence distinct roots and no ties.  Only rational c and c with
+    # one nonzero coordinate are read as monomials (see _monomial).  Any
+    # other coefficient keeps the product: a sum such as 1 + zeta(4), and
+    # also a monomial spread over several coordinates such as
+    # zeta(3)^2 = -1 - zeta(3), which is about 1% of the coefficients the
     # seeded certificate and witness sweeps canonicalize.
-    phi = RamifiedExponent(ram, terms)
+    ram = phi.ram
     if ram == 1 or phi.is_zero:
         return phi
     survivors = range(ram)
@@ -201,27 +200,10 @@ def _least_residue(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
     mono = _monomial(c)
     if mono is None:
         return min(residues, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
-    x, m, e = mono
+    _, m, e = mono
     M = lcm(m, ram)
-    roots = {r: _zeta_pow(M, (e * (M // m) + r * (M // ram)) % M) for r in residues}
-    if x > 0:
-        return min(roots, key=lambda r: roots[r].sort_key())
-    least = min(z.order for z in roots.values())
-    return max((r for r, z in roots.items() if z.order == least),
-               key=lambda r: roots[r].coords)
-
-
-def _monomial(c: CycloRat) -> Optional[tuple[Fraction, int, int]]:
-    # (x, m, e) with c = x * zeta_m^e and x a nonzero rational, for c
-    # rational (x * zeta_1^0) or with one nonzero coordinate at index i
-    # (x * zeta_n^i in c's own field Q(zeta_n)); None otherwise.
-    n, coords = c.order, c.coords
-    if n == 1:
-        return coords[0], 1, 0
-    nonzero = [i for i, a in enumerate(coords) if a]
-    if len(nonzero) == 1:
-        return coords[nonzero[0]], n, nonzero[0]
-    return None
+    return min(residues,
+               key=lambda r: _zeta_pow(M, e * (M // m) + r * (M // ram)).sort_key())
 
 
 def make_elementary(ram: int,
@@ -244,7 +226,7 @@ def make_elementary(ram: int,
     d = ram // phi.ram
     if phi.ram * d != ram:
         raise AssertionError("gcd reduction produced a non-divisor ramification")
-    phi = _galois_canonical(phi.ram, phi.terms)
+    phi = _galois_canonical(phi)
     return ElementaryModule(phi.ram, phi, reg.pushforward(d))
 
 
@@ -521,35 +503,18 @@ def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int
 
 
 def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
-    # The e in [0, L) with -d/c = zeta_L^e, or None if -d/c is no L-th root
-    # of unity.  A rational ratio must be +-1.  Any other ratio rho has a
-    # canonical order n, and if it is a root of unity its order is n or 2n,
-    # so n must divide L.  It is then looked up among the roots of unity of
-    # Q(zeta_n), which form mu_m for m = lcm(2, n): rho = zeta_m^em lies in
-    # mu_L exactly when m divides em*L.
-    if d == -c:
+    # The e in [0, L) with c * zeta_L^e = -d, or None if there is none.
+    # -d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose roots of
+    # unity are mu_lcm(2, N).  So a zeta_L^e equal to -d/c lies in mu_g,
+    # g = gcd(L, lcm(2, N)), and is zeta_g^t for e = t*L/g with t < g.
+    target = -d
+    if c == target:
         return 0
-    if d == c:
-        return None if L % 2 else L // 2
-    if c.order == 1 and d.order == 1:
-        return None
-    rho = -d / c
-    n = rho.order
-    if L % n:
-        return None
-    m = lcm(2, n)
-    em = _roots_of_unity(n).get(rho.coords)
-    return None if em is None or em * L % m else em * L // m
-
-
-@lru_cache(maxsize=16)
-def _roots_of_unity(n: int) -> dict[tuple, int]:
-    # The roots of unity of canonical order n by their coordinates, with
-    # their logs to the base zeta_m, m = lcm(2, n): Q(zeta_n) holds exactly
-    # mu_m.  Callers need n | L, so no table outgrows the covers it serves.
-    m = lcm(2, n)
-    roots = {e: _zeta_pow(m, e) for e in range(m)}
-    return {z.coords: e for e, z in roots.items() if z.order == n}
+    g = gcd(L, lcm(2, c.order, d.order))
+    for t in range(1, g):
+        if c * _zeta_pow(g, t) == target:
+            return t * (L // g)
+    return None
 
 
 def _witness(module: FormalModule, s: Fraction, p: int) -> tuple:

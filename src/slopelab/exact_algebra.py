@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Rat = Fraction
 
@@ -479,6 +479,18 @@ def _zeta_pow(n: int, e: int) -> CycloRat:
     return CycloRat(d, _zeta_power_coords(d, k), _canonical=True)
 
 
+def _monomial(c: CycloRat) -> Optional[tuple[Fraction, int, int]]:
+    """(x, m, e) with c = x * zeta(m)**e and x a positive rational, when c
+    has a single nonzero coordinate x, at index e of its own field's power
+    basis (m = 1 and e = 0 for a rational c); None otherwise.  A negative x
+    is folded into the root: -zeta(m)**e = zeta(2m)**(2e + m)."""
+    nonzero = [i for i, a in enumerate(c.coords) if a]
+    if len(nonzero) != 1:
+        return None
+    x, e = c.coords[nonzero[0]], nonzero[0]
+    return (x, c.order, e) if x > 0 else (-x, 2 * c.order, 2 * e + c.order)
+
+
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
@@ -547,9 +559,6 @@ class RamifiedExponent:
     def pole_order(self) -> int:
         """ord phi: minus the most negative stored exponent; 0 for the zero tail."""
         return -self.terms[0][0] if self.terms else 0
-
-    def as_dict(self) -> dict[int, CycloRat]:
-        return dict(self.terms)
 
     def substitute_root(self, order: int, j: int, scale: int = 1) -> "RamifiedExponent":
         """phi(zeta(order)**j * u**scale) in canonical form.

@@ -43,7 +43,7 @@ class ModelFactor:
         if len(twist) != len(pole):
             raise ValueError("twist and pole must have the same dimension")
         if rank < 1:
-            raise ValueError(f"factor rank must be >= 1, got {rank}")
+            raise ValueError(f"rank must be >= 1, got {rank}")
         object.__setattr__(self, "pole", pole)
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "rank", rank)
@@ -64,9 +64,10 @@ class GoodModel:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         factors = tuple(factors)
-        for f in factors:
+        for i, f in enumerate(factors):
             if len(f.pole) != dim:
-                raise ValueError("factor dimension does not match the model")
+                raise ValueError(f"factor {i}: dimension {len(f.pole)} does not "
+                                 f"match the model's {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "factors", factors)
 
@@ -204,14 +205,13 @@ def lemma_vanishing(pole_b: MultiIndex, pole_a: MultiIndex,
 
 
 def curve_restriction(model: GoodModel, curve: MultiIndex,
-                      f: MonomialFunction | None = None
-                      ) -> tuple[FormalModule, Optional[int]]:
+                      f: MonomialFunction) -> tuple[FormalModule, int]:
     """Restrict the model along the monomial curve x_i = t**curve_i.
 
     Each factor becomes El(1, t^-<pole, curve>, regular part) with regular
     exponent <twist, curve> mod 1; a regular factor restricts to a regular
-    module of the same rank.  When `f` is supplied, also returns
-    k = <a, curve>, the exponent with f(curve(t)) = t**k.
+    module of the same rank.  Also returns k = <a, curve>, the exponent with
+    f(curve(t)) = t**k.
     """
     if not isinstance(curve, MultiIndex):
         curve = MultiIndex(curve)
@@ -223,20 +223,14 @@ def curve_restriction(model: GoodModel, curve: MultiIndex,
     for fac in model.factors:
         depth = fac.pole.dot(curve.entries)
         exponent = sum(t * c for t, c in zip(fac.twist, curve.entries))
-        reg = RegularPart({Fraction(exponent): fac.rank})
+        reg = RegularPart([(Fraction(exponent), fac.rank)])
         parts.append(make_elementary(1, {-depth: 1} if depth else {}, reg))
-    restricted = FormalModule.of(parts)
-    k = f.exponents.dot(curve.entries) if f is not None else None
-    return restricted, k
+    return FormalModule.of(parts), f.exponents.dot(curve.entries)
 
 
 # ---------------------------------------------------------------------------
 # Model files (JSON; rationals as "num/den" strings in lowest terms).
 # ---------------------------------------------------------------------------
-
-def format_rat(value: Fraction) -> str:
-    return str(Fraction(value))
-
 
 def model_from_dict(data: dict) -> GoodModel:
     try:
@@ -256,9 +250,9 @@ def model_from_dict(data: dict) -> GoodModel:
             twist = tuple(json_rat(t, f"factor {idx}: 'twist' entry")
                           for t in json_list(raw.get("twist", [0] * dim), "'twist'"))
             rank = json_int(raw.get("rank", 1), f"factor {idx}: 'rank'")
+            factors.append(ModelFactor(pole, twist, rank))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"factor {idx}: {exc}")
-        factors.append(ModelFactor(pole, twist, rank))
     return GoodModel(dim, factors)
 
 
@@ -268,7 +262,7 @@ def model_to_dict(model: GoodModel) -> dict:
         "dim": model.dim,
         "factors": [
             {"pole": list(f.pole.entries),
-             "twist": [format_rat(t) for t in f.twist],
+             "twist": [str(t) for t in f.twist],
              "rank": f.rank}
             for f in model.factors
         ],

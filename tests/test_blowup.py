@@ -12,7 +12,6 @@ from slopelab.blowup import (
     BlowupStep,
     ComponentKind,
     blow_up,
-    chain_from_script,
     initial_state,
     iter_chain,
     report_to_dict,
@@ -159,7 +158,8 @@ def test_blowup_failures_print_a_replayable_script(tmp_path, capsys,
                                                    monkeypatch, mode):
     rng = random.Random(55)
     script = random_chain_script(rng, mode=mode, max_steps=6)
-    last = chain_from_script(script).steps_applied
+    *_, state = iter_chain(script)
+    last = state.steps_applied
     assert last >= 2
     # Flag the last state of the chain, so that only the check goes red.
     real = blowup.verify_inequality
@@ -233,7 +233,7 @@ def test_smooth_fan_invariant_unimodular_cones():
 
     rng = random.Random(53)
     for _ in range(20):
-        state = chain_from_script(random_chain_script(rng, mode="toric", max_steps=4))
+        *_, state = iter_chain(random_chain_script(rng, mode="toric", max_steps=4))
         fan = state.fan
         for cone in fan.max_cones:
             rays = [list(fan.rays[i]) for i in sorted(cone)]
@@ -253,9 +253,9 @@ def test_abstract_step_defaults_missing_eps_to_zero():
 
 
 def test_empty_script_gives_initial_state():
-    state = chain_from_script({"dim": 2, "Z": {"a": [1, 1]},
-                               "S": {"r": ["2", "3"]}, "mode": "toric",
-                               "steps": []})
+    *_, state = iter_chain({"dim": 2, "Z": {"a": [1, 1]},
+                            "S": {"r": ["2", "3"]}, "mode": "toric",
+                            "steps": []})
     assert state.steps_applied == 0
     assert [c.id for c in state.components] == ["D1", "D2"]
 
@@ -263,7 +263,8 @@ def test_empty_script_gives_initial_state():
 def test_one_step_script_matches_directly_built_state():
     script = {"dim": 2, "Z": {"a": [1, 1]}, "S": {"r": ["2", "3"]},
               "mode": "toric", "steps": [{"center": ["D1", "D2"]}]}
-    assert chain_from_script(script) == origin_blowup_state()
+    *_, state = iter_chain(script)
+    assert state == origin_blowup_state()
 
 
 def test_script_errors_cite_the_step_index():
@@ -271,7 +272,7 @@ def test_script_errors_cite_the_step_index():
               "mode": "toric",
               "steps": [{"center": ["D1", "D2"]}, {"center": ["D2", "E1"]}]}
     with pytest.raises(ScriptError, match="step 2.*condition \\(i\\)"):
-        chain_from_script(script)
+        list(iter_chain(script))
 
 
 def test_abstract_script_round_trip():
@@ -279,7 +280,7 @@ def test_abstract_script_round_trip():
               "mode": "abstract",
               "steps": [{"alpha": [1, 0], "epsS": [1], "epsE": []},
                         {"alpha": [0, 2], "epsS": [0], "epsE": [1]}]}
-    state = chain_from_script(script)
+    *_, state = iter_chain(script)
     assert state.steps_applied == 2
     e1, e2 = state.components[-2], state.components[-1]
     assert e1.vZ == 1 and e1.vS == F(1, 2) + 3

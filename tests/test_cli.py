@@ -1,15 +1,26 @@
 """CLI tests: subcommands, exit codes, JSON schema, determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
+import os
 import random
 import sys
+import tempfile
+import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopelab.cli import main
 from slopelab.elementary import regular_module
 from slopelab.expr import parse_and_eval
-from slopelab.randomgen import random_formal_module
+from slopelab.monomial_models import model_to_dict
+from slopelab.randomgen import random_chain_script, random_formal_module, random_good_model
 
 
 def run(capsys, *argv):
@@ -204,6 +215,12 @@ def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
      ("factor 0: 'pole' entry must be an integer, got \"x\"",)),
     ({"factors": [{"pole": [1, 0], "rank": "1.5"}]},
      ("factor 0: 'rank' must be an integer, got \"1.5\"",)),
+    # Shape errors found once the factor is built name the factor too.
+    ({"factors": [{"pole": [1, 0, 3]}]},
+     ("factor 0", "twist and pole must have the same dimension")),
+    ({"factors": [{"pole": [1, 0]}, {"pole": [1, 0, 3], "twist": [0, 0, 0]}]},
+     ("factor 1", "does not match the model")),
+    ({"factors": [{"pole": [1, 0], "rank": 0}]}, ("factor 0", "rank must be >= 1, got 0")),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
@@ -261,6 +278,17 @@ def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
                  "ok   expression-round-trip\n"
                  "selftest: all suites passed\n",
                  id="selftest-cases10-seed7"),
+    # The witness meets the second factor, whose u^-1 ratio zeta(3)^2 sends
+    # the discrete log past the d == -c shortcut into the search at L = 1200.
+    pytest.param(("nearby", "-e",
+                  "El(1,u^-2 + u^-1,rank=1) + El(1,u^-2 + zeta(3)*u^-1,rank=1)",
+                  "-p", "1200", "--cert"),
+                 "nearby slopes along x^1200: 1/600\n"
+                 "  slope 1/600: witness El(1200, -u^-2 - u^-1, rank=1) gives "
+                 "nearby-cycle dimension 1200\n"
+                 "  certified absent (ram <= 12, pole order <= 24): 182 slopes, "
+                 "762 twists checked\n",
+                 id="nearby-root-log-search-p1200"),
 ])
 def test_high_conductor_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
@@ -408,3 +436,84 @@ def test_json_outputs_never_contain_floats(tmp_path, capsys):
         return True
 
     assert no_floats(json.loads(out))
+
+
+# ---------------------------------------------------------------------------
+# Exit-code property over the JSON inputs of `bound -m` and `blowup -s`.
+# ---------------------------------------------------------------------------
+
+# Values a hand-edited file may hold: small ints, strings that are no
+# rational, floats, booleans, null, and nested lists or objects.
+_JUNK = st.recursive(
+    st.one_of(st.integers(-2, 4), st.sampled_from(["1/0", "x", "1/2", "2", ""]),
+              st.floats(), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["a", "r", "pole", "center"]), inner,
+                        max_size=2)),
+    max_leaves=5)
+
+
+def _paths(node, path=()):
+    # The path of every value in a JSON document, the root's included.
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    # Up to three values of a valid document replaced by junk, or their keys
+    # deleted, so that every depth of the reader meets bad input.
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(_JUNK)
+        if not path:
+            doc = value
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+        except Exception:  # an escape is a traceback at the console
+            code, err = None, io.StringIO(traceback.format_exc())
+    return code, err.getvalue()
+
+
+# The documents start valid: seeded models of dimension <= 4 and blow-up
+# scripts of at most 6 steps, so that no drawn input is costly.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["bound", "blowup"]), seed=st.integers(0, 2**32),
+       as_json=st.booleans(), data=st.data())
+def test_json_inputs_exit_0_1_or_2_with_a_message(command, seed, as_json, data):
+    rng = random.Random(seed)
+    if command == "bound":
+        doc = model_to_dict(random_good_model(rng, max_dim=4))
+        flags = ["-f", data.draw(st.sampled_from(["x1", "x1*x2", "x2^2", "x1*x3*x4",
+                                                  "x5", "y"]))]
+    else:
+        doc = random_chain_script(rng, max_dim=4, max_steps=6)
+        flags = data.draw(st.sampled_from([[], ["--verify"]]))
+    payload = data.draw(_mutated(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        argv = [command, "-m" if command == "bound" else "-s", path, *flags]
+        code, err = _run_in_process(argv + (["--json"] if as_json else []))
+    assert "Traceback" not in err, (argv, payload, err)
+    assert code in (0, 1, 2), (argv, payload, code)
+    assert code == 0 or err.strip(), (argv, payload)

@@ -32,9 +32,9 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _galois_canonical, _least_residue, _monomial, _root_log
+from slopelab.elementary import _galois_canonical, _least_residue, _root_log
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import CycloRat, RamifiedExponent
+from slopelab.exact_algebra import CycloRat, RamifiedExponent, _monomial
 from slopelab.expr import module_to_expr, parse_and_eval
 from slopelab.randomgen import random_formal_module
 from slopelab.selftest import check_pullback_pushforward, check_tensor
@@ -53,8 +53,9 @@ def test_pruned_galois_canonical_matches_the_full_orbit():
     # exponents sharing a factor with ram make several j tie on the first
     # term, so later terms must break the tie.  Rational and one-coordinate
     # coefficients are compared by root-of-unity logs, negative ones among
-    # them; the others keep the product, monomials spread over several
-    # coordinates (zeta(3)^2 = -1 - zeta(3), zeta(3)*zeta(5)) included.
+    # them with the sign folded into the root; the others keep the product,
+    # monomials spread over several coordinates (zeta(3)^2 = -1 - zeta(3),
+    # zeta(3)*zeta(5)) included.
     rng = random.Random(31)
     z, q = CycloRat.zeta, CycloRat.from_rational
     by_logs = (q(1), q(-1), q(F(2, 3)), q(F(-3, 2)), z(3), -z(3), z(4), z(5),
@@ -62,13 +63,18 @@ def test_pruned_galois_canonical_matches_the_full_orbit():
     by_product = (z(3, 2), -2 * z(3, 2), z(3) * z(5), -z(15, 13), -z(9, 7),
                   1 + z(4), -2 - z(3), 1 + z(12), z(5) - z(7), 2 + z(8, 3))
     assert all(_monomial(c) for c in by_logs) and not any(map(_monomial, by_product))
-    assert any(_monomial(c)[0] < 0 for c in by_logs if c.order > 1)
+    assert all(_monomial(c)[0] > 0 for c in by_logs)
+    negative = [c for c in by_logs if min(c.coords) < 0]
+    assert len(negative) >= 5
+    for c in negative:
+        x, m, e = _monomial(c)
+        assert x * z(m, e) == c, c
     coeffs = by_logs + by_product
 
     def check(phi):
         oracle = min((phi.substitute_root(phi.ram, j) for j in range(phi.ram)),
                      key=lambda cand: cand.sort_key())
-        assert _galois_canonical.__wrapped__(phi.ram, phi.terms) == oracle, phi
+        assert _galois_canonical.__wrapped__(phi) == oracle, phi
 
     # zeta(3)*zeta(5) at the ramifications where its conjugates leave Q(zeta_72).
     for ram in (7, 8, 11):
@@ -440,13 +446,24 @@ def test_conjugate_sum_count_matches_the_canonical_route():
     assert cancelling >= 20
 
 
-def test_all_cyclotomic_coefficients_match_the_composed_route():
+def _refuse_division(monkeypatch):
+    # The discrete-log kernel answers by equality and closed-form roots of
+    # unity; from here on any CycloRat division fails the test.
+    def refuse(*_):
+        raise AssertionError("CycloRat division")
+
+    monkeypatch.setattr(CycloRat, "inverse", refuse)
+    monkeypatch.setattr(CycloRat, "__truediv__", refuse)
+
+
+def test_all_cyclotomic_coefficients_match_the_composed_route(monkeypatch):
     # Oracle for the discrete-log count where every coefficient is
     # cyclotomic.  Each twist negates a Galois conjugate of its factor's
     # exponent on the degree-p cover, with each coefficient also multiplied
     # by 1, by -1, by a root of unity or by 2 or 1 + zeta(4), which are none.
     # Every odd draw keeps both covers odd, where -1 is no L-th root of
-    # unity.
+    # unity.  No path through either route divides.
+    _refuse_division(monkeypatch)
     rng = random.Random(2026)
     z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
     coeffs = (z3, z4, z5, 2 * z3, 1 + z4)
@@ -476,24 +493,22 @@ def test_all_cyclotomic_coefficients_match_the_composed_route():
 def test_root_log_matches_the_brute_force_search(monkeypatch):
     # The discrete log of each coefficient ratio against the search over
     # every zeta_L^e, e < L; -zeta(3) and -zeta(5) lie in mu_L only for
-    # even L, and 2 and (1 + zeta(4))/zeta(3) in none.
+    # even L, and 2 and (1 + zeta(4))/zeta(3) in none.  The oracle divides
+    # once per pair up front; _root_log itself runs with division refused.
     z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
     values = [CycloRat.from_rational(x) for x in (1, -1, 2)] + [
         z3, z4, z5, -z3, 1 + z4, 2 * z3, CycloRat.zeta(12, 5), CycloRat.zeta(8, 3)]
+    ratios = {(c, d): -d / c for c, d in itertools.product(values, repeat=2)}
+    _refuse_division(monkeypatch)
     found = 0
-    for c, d in itertools.product(values, repeat=2):
-        rho = -d / c
+    for (c, d), rho in ratios.items():
         for L in range(1, 41):
             logs = [e for e in range(L) if CycloRat.zeta(L, e) == rho]
             assert _root_log(c, d, L) == (logs[0] if logs else None), (c, d, L)
             found += bool(logs)
     assert 0 < found < 121 * 40 // 2
-    # A ratio whose field order does not divide L is no L-th root of unity,
-    # refused before a table of the roots of its field is built.
-    def refuse(n):
-        raise AssertionError(f"built the roots of unity of Q(zeta({n}))")
-
-    monkeypatch.setattr(_ELEMENTARY, "_roots_of_unity", refuse)
+    # A ratio from a field whose roots of unity miss mu_L: the search runs
+    # over mu_gcd(6, 14) = {1, -1} only.
     assert _root_log(CycloRat.from_rational(1), -CycloRat.zeta(7), 6) is None
 
 

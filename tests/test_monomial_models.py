@@ -150,20 +150,25 @@ def test_curve_restriction_examples():
     assert F(5, 2) <= vanishing_threshold(model, MonomialFunction((1, 1))).value
 
     regular = GoodModel(2, [ModelFactor(MultiIndex((0, 0)), rank=3)])
-    rest, _ = curve_restriction(regular, MultiIndex((2, 1)))
+    rest, k = curve_restriction(regular, MultiIndex((2, 1)),
+                              MonomialFunction((0, 1)))
+    assert k == 1
     assert rest == regular_module(3)
 
 
 def test_curve_restriction_carries_twist_exponents():
     model = GoodModel(2, [ModelFactor(MultiIndex((0, 0)),
                                       twist=(F(1, 2), F(1, 3)), rank=1)])
-    restricted, _ = curve_restriction(model, MultiIndex((1, 2)))
+    restricted, k = curve_restriction(model, MultiIndex((1, 2)),
+                                      MonomialFunction((1, 1)))
+    assert k == 3
     assert restricted == regular_module(1, exponents=[F(1, 2) + F(2, 3)])
 
 
 def test_curve_restriction_rejects_nonpositive_curves():
     with pytest.raises(ValueError, match=">= 1"):
-        curve_restriction(two_factor_model(), MultiIndex((1, 0)))
+        curve_restriction(two_factor_model(), MultiIndex((1, 0)),
+                          MonomialFunction((1, 0)))
 
 
 def test_mediant_bound_exact():
