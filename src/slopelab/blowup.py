@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence
 
-from slopelab.errors import (FalsificationError, ScriptError, json_int, json_list,
-                             json_rat)
+from slopelab.errors import (FalsificationError, ScriptError, json_field, json_int,
+                             json_list, json_rat)
 
 
 class ComponentKind(Enum):
@@ -372,14 +372,16 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
     index attached.
     """
     try:
-        dim = json_int(script["dim"], "'dim'")
+        dim = json_int(json_field(script, "dim", "the script"), "'dim'")
         mode = str(script.get("mode", "toric"))
+        z = json_field(script, "Z", "the script")
         z_mult = [json_int(v, "'Z.a' entry")
-                  for v in json_list(script["Z"]["a"], "'Z.a'")]
+                  for v in json_list(json_field(z, "a", "'Z'"), "'Z.a'")]
+        s = json_field(script, "S", "the script")
         s_mult = [json_rat(v, "'S.r' entry")
-                  for v in json_list(script["S"]["r"], "'S.r'")]
+                  for v in json_list(json_field(s, "r", "'S'"), "'S.r'")]
         raw_steps = script.get("steps", ())
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ScriptError(f"malformed script: {exc}")
     if not isinstance(raw_steps, (list, tuple)):
         raise ScriptError(f"malformed script: 'steps' must be a list, "

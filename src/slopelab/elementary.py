@@ -18,8 +18,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import (CycloRat, RamifiedExponent, _hash_once, _monomial,
-                                    _zeta_pow)
+from slopelab.exact_algebra import (CycloRat, RamifiedExponent, _hash_once, _map_powers,
+                                    _monomial, _zeta_pow)
 
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
@@ -174,11 +174,25 @@ def _galois_canonical(phi: RamifiedExponent) -> RamifiedExponent:
     # keeps the least field and the order of the coordinates, so the
     # residues compare as the keys of zeta_M^t do.  Distinct r give distinct
     # t mod M, hence distinct roots and no ties.  Only rational c and c with
-    # one nonzero coordinate are read as monomials (see _monomial).  Any
-    # other coefficient keeps the product: a sum such as 1 + zeta(4), and
-    # also a monomial spread over several coordinates such as
-    # zeta(3)^2 = -1 - zeta(3), which is about 1% of the coefficients the
-    # seeded certificate and witness sweeps canonicalize.
+    # one nonzero coordinate are read as monomials (see _monomial).
+    #
+    # Any other c, of least order m, is compared first by the order of each
+    # x_t = c * zeta_M^t, t = r*M/ram, since a sort key leads with it, and
+    # those orders come from Galois logs in integers (_orbit_orders).  The
+    # descent from Q(zeta_n) to Q(zeta_q), q = n/p, runs as _demote's does.
+    # For p = 2 and q odd the two fields are one.  If m does not divide
+    # lcm(q, ram), no x_t lies in Q(zeta_q), because c = x_t * zeta_ram^-r
+    # would then lie in Q(zeta_lcm(q, ram)); so that prime stops with no
+    # field work.  Otherwise Gal(Q(zeta_n)/Q(zeta_q)) is cyclic, generated
+    # by sigma_a for a unit a = 1 (mod q), and x_t, already in Q(zeta_n),
+    # lies in Q(zeta_q) iff sigma_a fixes it: sigma_a(c) = c * zeta_M^(t(1-a)).
+    # As q | 1 - a, that root lies in mu_(M/q), so one log lam of sigma_a(c)
+    # against c modulo M/q (_root_log, no division) decides every residue:
+    # x_t descends iff lam = t(1-a)/q (mod M/q).  Only the residues that tie
+    # on the least order are built as products, and a lone one is not built.
+    # A root of unity spread over many coordinates, such as
+    # zeta(2003)^2002, takes this route too: its orbit mostly stays in
+    # large fields, so only the few residues in its own field are built.
     ram = phi.ram
     if ram == 1 or phi.is_zero:
         return phi
@@ -196,14 +210,73 @@ def _galois_canonical(phi: RamifiedExponent) -> RamifiedExponent:
 
 def _least_residue(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
     # The residue r that minimizes (c * zeta_ram^r).sort_key(), by
-    # root-of-unity logs when c is monomial (see _galois_canonical).
+    # root-of-unity logs when c is monomial, otherwise by the orders of the
+    # products first (see _galois_canonical).
     mono = _monomial(c)
     if mono is None:
-        return min(residues, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
+        orders = _orbit_orders(c, ram, residues)
+        least = min(orders.values())
+        ties = [r for r, n in orders.items() if n == least]
+        if len(ties) == 1:
+            return ties[0]
+        return min(ties, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
     _, m, e = mono
     M = lcm(m, ram)
     return min(residues,
                key=lambda r: _zeta_pow(M, e * (M // m) + r * (M // ram)).sort_key())
+
+
+def _orbit_orders(c: CycloRat, ram: int, residues: Iterable[int]) -> dict[int, int]:
+    # The order of the least field of c * zeta_ram^r for each residue r,
+    # with one Galois log per descent step (p, q), shared by the residues,
+    # and no product (see _galois_canonical).
+    m = c.order
+    M = lcm(m, ram)
+    primes = _prime_factors(M)
+    steps: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+    orders = {}
+    for r in residues:
+        t, n = r * (M // ram), M
+        for p in primes:
+            while n % p == 0:
+                q = n // p
+                if p == 2 and q % 2:
+                    n = q
+                    continue
+                if lcm(q, ram) % m:
+                    break
+                if (p, q) not in steps:
+                    a = _kernel_generator(p, q, M)
+                    sigma = CycloRat(m, _map_powers(m, c.coords, a % m), _canonical=True)
+                    steps[p, q] = a, _root_log(c, -sigma, M // q)
+                a, lam = steps[p, q]
+                if lam is None or (lam - t * (1 - a) // q) % (M // q):
+                    break
+                n = q
+        orders[r] = n
+    return orders
+
+
+def _kernel_generator(p: int, q: int, M: int) -> int:
+    # A unit a mod M, a = 1 (mod q), whose class generates the kernel of
+    # (Z/pq)* -> (Z/q)*: 1 + q when p | q, else a primitive root mod p.
+    a = 1 + q
+    if q % p:
+        g = next(g for g in range(2, p)
+                 if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
+        a = 1 + q * ((g - 1) * pow(q, -1, p) % p)
+    return next(b for b in range(a, M, p * q) if gcd(b, M) == 1)
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] * (n > 1)
 
 
 def make_elementary(ram: int,
@@ -504,12 +577,21 @@ def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int
 
 def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
     # The e in [0, L) with c * zeta_L^e = -d, or None if there is none.
-    # -d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose roots of
-    # unity are mu_lcm(2, N).  So a zeta_L^e equal to -d/c lies in mu_g,
-    # g = gcd(L, lcm(2, N)), and is zeta_g^t for e = t*L/g with t < g.
+    # For monomials c = x * zeta_m^e0 and -d = y * zeta_n^f (x, y > 0),
+    # K = lcm(m, n) and s = f*K/n - e0*K/m: -d/c = (y/x) * zeta_K^s is a
+    # root of unity iff x == y, and zeta_K^s lies in mu_L iff K | s*L.
+    # Otherwise -d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose
+    # roots of unity are mu_lcm(2, N).  So a zeta_L^e equal to -d/c lies in
+    # mu_g, g = gcd(L, lcm(2, N)), and is zeta_g^t for e = t*L/g with t < g.
     target = -d
     if c == target:
         return 0
+    mono, other = _monomial(c), _monomial(target)
+    if mono and other:
+        (x, m, e0), (y, n, f) = mono, other
+        K = lcm(m, n)
+        s = (f * (K // n) - e0 * (K // m)) % K
+        return s * L // K % L if x == y and s * L % K == 0 else None
     g = gcd(L, lcm(2, c.order, d.order))
     for t in range(1, g):
         if c * _zeta_pow(g, t) == target:

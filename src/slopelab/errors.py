@@ -1,6 +1,7 @@
 """Exception types shared across the engine."""
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 
 
@@ -60,6 +61,17 @@ def json_list(value, field: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{field} must be an array, got {json.dumps(value)}")
     return value
+
+
+def json_field(value, key: str, field: str):
+    """Field `key` of a JSON object named `field`.  A value that is no
+    object, or an object without the key, raises a TypeError naming both;
+    the caller adds its context."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{field} must be a JSON object, got {json.dumps(value)}")
+    if key not in value:
+        raise TypeError(f"{field} has no '{key}' field")
+    return value[key]
 
 
 def json_rat(value, field: str) -> Fraction:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from slopelab.elementary import FormalModule, RegularPart, make_elementary
-from slopelab.errors import ScriptError, json_int, json_list, json_rat
+from slopelab.errors import ScriptError, json_field, json_int, json_list, json_rat
 from slopelab.exact_algebra import MultiIndex
 
 
@@ -234,10 +234,10 @@ def curve_restriction(model: GoodModel, curve: MultiIndex,
 
 def model_from_dict(data: dict) -> GoodModel:
     try:
-        dim = json_int(data["dim"], "'dim'")
-        raw_factors = data["factors"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScriptError(f"model file needs integer 'dim' and 'factors': {exc}")
+        dim = json_int(json_field(data, "dim", "the model"), "'dim'")
+        raw_factors = json_field(data, "factors", "the model")
+    except TypeError as exc:
+        raise ScriptError(f"malformed model file: {exc}")
     if not isinstance(raw_factors, (list, tuple)):
         raise ScriptError(f"model file needs a list of 'factors', got {raw_factors!r}")
     factors = []
@@ -246,12 +246,13 @@ def model_from_dict(data: dict) -> GoodModel:
             raise ScriptError(f"factor {idx}: expected an object, got {raw!r}")
         try:
             pole = MultiIndex(json_int(e, f"factor {idx}: 'pole' entry")
-                              for e in json_list(raw["pole"], "'pole'"))
+                              for e in json_list(json_field(raw, "pole", "the factor"),
+                                                 "'pole'"))
             twist = tuple(json_rat(t, f"factor {idx}: 'twist' entry")
                           for t in json_list(raw.get("twist", [0] * dim), "'twist'"))
             rank = json_int(raw.get("rank", 1), f"factor {idx}: 'rank'")
             factors.append(ModelFactor(pole, twist, rank))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ScriptError(f"factor {idx}: {exc}")
     return GoodModel(dim, factors)
 

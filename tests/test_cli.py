@@ -130,6 +130,17 @@ def assert_clean_error(code, err, *words):
 
 _SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}}
 
+# A field value that drops its key from the document.
+_DROP = object()
+
+
+def _document(base, fields):
+    # `base` with `fields` laid over it, or `fields` alone when it is no
+    # object: the document a wrong-shape case writes.
+    if not isinstance(fields, dict):
+        return fields
+    return {k: v for k, v in {**base, **fields}.items() if v is not _DROP}
+
 
 # Each case overrides fields of _SCRIPT; explicit ids keep the names of the
 # first four cases stable.
@@ -178,10 +189,18 @@ _SCRIPT = {"dim": 2, "mode": "toric", "Z": {"a": [1, 1]}, "S": {"r": ["1", "1"]}
     ({"Z": {"a": ["abc", 1]}}, ("'Z.a' entry must be an integer, got \"abc\"",)),
     ({"mode": "abstract", "steps": [{"alpha": ["x", 0], "epsS": [1], "epsE": []}]},
      ("step 1", "'alpha' entry must be an integer, got \"x\"")),
+    # A missing field, an object that is something else, or a script that is
+    # no JSON object, is named, not reported in Python's words.
+    ({"dim": _DROP}, ("malformed script", "the script has no 'dim' field")),
+    ({"S": _DROP}, ("malformed script", "the script has no 'S' field")),
+    ({"Z": {}}, ("malformed script", "'Z' has no 'a' field")),
+    ({"Z": 5}, ("malformed script", "'Z' must be a JSON object, got 5")),
+    ({"S": ["1", "1"]}, ("malformed script", "'S' must be a JSON object, got [\"1\", \"1\"]")),
+    ([1, 2], ("malformed script", "the script must be a JSON object, got [1, 2]")),
 ])
 def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script = tmp_path / "s.blowup"
-    script.write_text(json.dumps({**_SCRIPT, "steps": [], **fields}))
+    script.write_text(json.dumps(_document({**_SCRIPT, "steps": []}, fields)))
     code, _, err = run(capsys, "blowup", "-s", str(script), "--verify")
     assert_clean_error(code, err, *words)
 
@@ -221,10 +240,17 @@ def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     ({"factors": [{"pole": [1, 0]}, {"pole": [1, 0, 3], "twist": [0, 0, 0]}]},
      ("factor 1", "does not match the model")),
     ({"factors": [{"pole": [1, 0], "rank": 0}]}, ("factor 0", "rank must be >= 1, got 0")),
+    # A missing field, or a file that is no JSON object, is named, not
+    # reported in Python's words.
+    ({"dim": _DROP}, ("the model has no 'dim' field",)),
+    ({"factors": _DROP}, ("the model has no 'factors' field",)),
+    ({"factors": [{"twist": [0, 0]}]}, ("factor 0: the factor has no 'pole' field",)),
+    ([{"dim": 2}], ("the model must be a JSON object, got [{\"dim\": 2}]",)),
+    ("2", ("the model must be a JSON object, got \"2\"",)),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
-    model.write_text(json.dumps({"dim": 2, "factors": [{"pole": [1, 0]}], **fields}))
+    model.write_text(json.dumps(_document({"dim": 2, "factors": [{"pole": [1, 0]}]}, fields)))
     code, _, err = run(capsys, "bound", "-m", str(model), "-f", "x1")
     assert_clean_error(code, err, *words)
 
@@ -289,6 +315,27 @@ def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
                  "  certified absent (ram <= 12, pole order <= 24): 182 slopes, "
                  "762 twists checked\n",
                  id="nearby-root-log-search-p1200"),
+    # A root of unity spread over 2002 coordinates: -1 - zeta(2003) - ...
+    # - zeta(2003)^2001 = zeta(2003)^2002.  Its orbit under zeta(4) mostly
+    # lies in Q(zeta_8012), so only the two residues left in Q(zeta_2003) are
+    # built.
+    pytest.param(("slopes", "-e", "El(4, zeta(2003)^2002*u^-3, rank=1)"),
+                 "expr: El(4, ("
+                 + " - ".join(["-1", "zeta(2003)"]
+                              + [f"zeta(2003)^{k}" for k in range(2, 2002)])
+                 + ")*u^-3, rank=1)\nrank: 4\nslopes: 3/4:4\nirregularity: 3\n",
+                 id="slopes-spread-root-zeta2003"),
+    # The witness meets the zeta(401) factor, whose u^-1 ratio is a root of
+    # unity of Q(zeta_401): its log modulo 802 comes in closed form.
+    pytest.param(("nearby", "-e",
+                  "El(1,u^-2 + u^-1,rank=1) + El(1,u^-2 + zeta(401)*u^-1,rank=1)",
+                  "-p", "802", "--cert"),
+                 "nearby slopes along x^802: 1/401\n"
+                 "  slope 1/401: witness El(802, -u^-2 - u^-1, rank=1) gives "
+                 "nearby-cycle dimension 802\n"
+                 "  certified absent (ram <= 12, pole order <= 24): 182 slopes, "
+                 "762 twists checked\n",
+                 id="nearby-root-log-closed-form-p802"),
 ])
 def test_high_conductor_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)

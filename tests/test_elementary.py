@@ -32,7 +32,8 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _galois_canonical, _least_residue, _root_log
+from slopelab.elementary import (_galois_canonical, _least_residue, _orbit_orders,
+                                 _root_log)
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import CycloRat, RamifiedExponent, _monomial
 from slopelab.expr import module_to_expr, parse_and_eval
@@ -53,9 +54,9 @@ def test_pruned_galois_canonical_matches_the_full_orbit():
     # exponents sharing a factor with ram make several j tie on the first
     # term, so later terms must break the tie.  Rational and one-coordinate
     # coefficients are compared by root-of-unity logs, negative ones among
-    # them with the sign folded into the root; the others keep the product,
-    # monomials spread over several coordinates (zeta(3)^2 = -1 - zeta(3),
-    # zeta(3)*zeta(5)) included.
+    # them with the sign folded into the root; the others by the orders of
+    # their conjugates from Galois logs, monomials spread over several
+    # coordinates (zeta(3)^2 = -1 - zeta(3), zeta(3)*zeta(5)) included.
     rng = random.Random(31)
     z, q = CycloRat.zeta, CycloRat.from_rational
     by_logs = (q(1), q(-1), q(F(2, 3)), q(F(-3, 2)), z(3), -z(3), z(4), z(5),
@@ -99,7 +100,7 @@ def test_pruned_galois_canonical_matches_the_full_orbit():
 def test_monomial_decomposition_matches_the_brute_force_search():
     # c = x * zeta_m^e against the search over every root of unity of c's
     # field, mu_lcm(2, n): rational and one-coordinate c are decomposed, and
-    # every other c, monomial or not, is left to the product.  The residue
+    # every other c, monomial or not, is left to the Galois logs.  The residue
     # _least_residue picks is checked against the products at every
     # ramification up to 36, so the logs run modulo lcm(n, ram) up to 1260.
     rng = random.Random(59)
@@ -131,6 +132,88 @@ def test_monomial_decomposition_matches_the_brute_force_search():
         assert _least_residue(c, ram, residues) == min(
             residues, key=lambda r: (c * z(ram, r)).sort_key()), (c, ram)
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_orbit_orders_match_the_product_path(monkeypatch):
+    # Oracle for the Galois-log route of _least_residue: the order of every
+    # product c * zeta_ram^r, and the least residue, at every ram <= 36.  The
+    # coefficients are sums, none of them monomial to _monomial; 1 + zeta(3)
+    # is the root of unity -zeta(3)^2, and zeta(3)*(1 + zeta(4)) has
+    # conjugates that leave its field Q(zeta_12) for Q(zeta_4).
+    z = CycloRat.zeta
+    sums = [1 + z(n, j) for n, j in ((3, 1), (4, 1), (5, 2), (8, 3))]
+    cases = [(c, ram) for c in sums + [-1 + 2 * z(4), z(3) + z(4)] for ram in range(1, 37)]
+    cases += [(z(3) * (1 + z(4)), ram) for ram in (3, 6, 12)]
+    assert not any(_monomial(c) for c, _ in cases)
+    left = 0
+    for c, ram in cases:
+        products = [c * z(ram, r) for r in range(ram)]
+        assert _orbit_orders(c, ram, range(ram)) == {
+            r: x.order for r, x in enumerate(products)}, (c, ram)
+        assert _least_residue(c, ram, range(ram)) == min(
+            range(ram), key=lambda r: products[r].sort_key()), (c, ram)
+        left += any(x.order < c.order for x in products)
+    assert left >= 3
+    # 1 + zeta(2003) at ram 2: zeta(2003) is no element of Q(zeta_lcm(1, 2)),
+    # so the descent stops on 2003 with no Galois map and no log, and both
+    # residues tie in Q(zeta_2003), where the product by zeta(2) = -1 is cheap.
+    c = 1 + z(2003)
+
+    def refuse(*_):
+        raise AssertionError("field work past the skip rule")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ELEMENTARY, "_map_powers", refuse)
+        patch.setattr(_ELEMENTARY, "_root_log", refuse)
+        assert _orbit_orders(c, 2, range(2)) == {0: 2003, 1: 2003}
+    assert _least_residue(c, 2, range(2)) == min(
+        range(2), key=lambda r: (c * z(2, r)).sort_key()) == 1
+
+
+def test_monomial_root_logs_match_the_equality_search(monkeypatch):
+    # The closed form of _root_log for monomials c = x * zeta_m^e and
+    # -d = y * zeta_n^f against the search over every zeta_L^e by equality,
+    # on seeded pairs: rational ones, negative x (folded into a root of
+    # order 2m), roots of unity outside mu_L (K does not divide s*L) and
+    # x != y.  The closed form forms no product.
+    rng = random.Random(67)
+    z = CycloRat.zeta
+    scales = (1, 2, F(1, 3), -1, -2, F(-3, 2))
+
+    def monomial(rational=False):
+        n = 1 if rational else rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12))
+        return rng.choice(scales) * z(n, rng.randrange(n))
+
+    cases = []
+    for i in range(400):
+        c = monomial(rational=i % 5 == 0)
+        d = -c * z(rng.choice((2, 3, 4, 6, 8, 12)), rng.randrange(24))
+        if i % 3 == 0:
+            d = monomial(rational=i % 5 == 0)
+        if not (_monomial(c) and _monomial(-d)):
+            continue  # a root spread over several coordinates takes the search
+        L = rng.randint(1, 36)
+        logs = [e for e in range(L) if c * z(L, e) == -d]
+        cases.append((c, d, L, logs[0] if logs else None))
+    assert len(cases) >= 250
+
+    def refuse(*_):
+        raise AssertionError("CycloRat product")
+
+    monkeypatch.setattr(CycloRat, "__mul__", refuse)
+    monkeypatch.setattr(CycloRat, "__rmul__", refuse)
+    outcomes = {"found": 0, "outside mu_L": 0, "x != y": 0, "rational": 0, "negative": 0}
+    for c, d, L, expected in cases:
+        assert _root_log(c, d, L) == expected, (c, d, L)
+        (x, m, e), (y, n, f) = _monomial(c), _monomial(-d)
+        K = lcm(m, n)
+        s = (f * (K // n) - e * (K // m)) % K
+        outcomes["found"] += expected is not None
+        outcomes["outside mu_L"] += x == y and s * L % K != 0
+        outcomes["x != y"] += x != y
+        outcomes["rational"] += c.order == d.order == 1
+        outcomes["negative"] += min(c.coords) < 0
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_closed_form_regular_pushforward_matches_the_constructor():
