@@ -605,8 +605,8 @@ class MultiIndex:
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
+        entries = tuple(map(int, entries))
+        if min(entries, default=0) < 0:
             raise ValueError(f"multi-index entries must be >= 0, got {entries}")
         object.__setattr__(self, "entries", entries)
 

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from slopelab.elementary import FormalModule, RegularPart, make_elementary
@@ -75,13 +76,17 @@ class GoodModel:
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    @property
+    @cached_property
+    def pole_max(self) -> tuple[int, ...]:
+        """Per-coordinate maximum of the factors' pole orders, 0 where none
+        has a pole.  Cached, not a field: eq, hash and files do not see it."""
+        return tuple(map(max, zip((0,) * self.dim,
+                                  *(f.pole.entries for f in self.factors))))
+
+    @cached_property
     def pole_support(self) -> tuple[int, ...]:
         """Coordinates whose hyperplane carries a pole of some factor."""
-        out = set()
-        for f in self.factors:
-            out.update(f.pole.support)
-        return tuple(sorted(out))
+        return tuple(i for i, r in enumerate(self.pole_max) if r)
 
     @property
     def is_regular(self) -> bool:
@@ -150,11 +155,9 @@ class ThresholdResult:
 # ---------------------------------------------------------------------------
 
 def highest_generic_slopes(model: GoodModel) -> GenericSlopeDivisor:
-    """Componentwise maximum of the factors' pole multi-indices."""
-    weights = []
-    for i in range(model.dim):
-        weights.append(Fraction(max((f.pole[i] for f in model.factors), default=0)))
-    return GenericSlopeDivisor(tuple(weights))
+    """Componentwise maximum of the factors' pole multi-indices, read off the
+    model's integer `pole_max`."""
+    return GenericSlopeDivisor(tuple(Fraction(r) for r in model.pole_max))
 
 
 def nearby_slope_bound(model: GoodModel) -> Fraction:
@@ -166,16 +169,25 @@ def nearby_slope_bound(model: GoodModel) -> Fraction:
 def vanishing_threshold(model: GoodModel, f: MonomialFunction) -> ThresholdResult:
     """Minimal r with r_i <= r * a_i on the support of a: r = max r_i / a_i.
 
+    Computed in integers from the model's pole maxima r_i: the best ratio is
+    kept as (num, den) and compared by cross-multiplication; 0 when every r_i
+    on supp(a) is 0.  f must have the model's dimension.
+
     Twists of slope above the threshold kill the nearby cycles along x^a,
     provided the div f components all lie in the pole locus (flagged in the
     result).
     """
-    div = highest_generic_slopes(model)
-    a = f.exponents
-    value = max((div[i] / a[i] for i in a.support), default=Fraction(0))
-    # The guarantee needs every component of div f inside the pole locus.
-    applicable = set(a.support) <= set(model.pole_support)
-    return ThresholdResult(Fraction(value), applicable)
+    a = f.exponents.entries
+    if len(a) != model.dim:
+        raise ValueError("function dimension does not match the model")
+    num, den, applicable = 0, 1, True
+    for r, e in zip(model.pole_max, a):
+        if e:
+            if r * den > num * e:
+                num, den = r, e
+            # The guarantee needs every component of div f in the pole locus.
+            applicable = applicable and r > 0
+    return ThresholdResult(Fraction(num, den), applicable)
 
 
 def lemma_vanishing(pole_b: MultiIndex, pole_a: MultiIndex,
@@ -273,9 +285,3 @@ def model_to_dict(model: GoodModel) -> dict:
 def load_model(path: str) -> GoodModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(model: GoodModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -305,7 +305,7 @@ def check_monomial_models(cases) -> SuiteResult:
         support = set(model.pole_support)
         # Mediant inequality, exact in integers: <r, c> / <a, c> <= threshold
         # for the divisor r, hence for every factor's restricted slope.
-        r = [int(w) for w in div.weights]
+        r = model.pole_max
         r_dots = [sum(map(mul, r, c)) for c in curves]
         for f in fs:
             a = f.exponents.entries

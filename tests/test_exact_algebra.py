@@ -325,8 +325,14 @@ def test_multiindex_support_and_restriction():
 
 
 def test_multiindex_rejects_negative_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^multi-index entries must be >= 0, got \(1, -1\)$"):
         MultiIndex((1, -1))
+
+
+def test_multiindex_entries_convert_like_int():
+    assert MultiIndex(["3", True, 0]).entries == (3, 1, 0)
+    assert MultiIndex(()).entries == ()
 
 
 def test_multiindex_dot():

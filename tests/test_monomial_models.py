@@ -1,5 +1,6 @@
 """Tests for the multivariate monomial-model layer."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from slopelab.monomial_models import (
     model_from_dict,
     model_to_dict,
     nearby_slope_bound,
-    save_model,
     vanishing_threshold,
 )
 from slopelab.randomgen import random_good_model
@@ -99,6 +99,67 @@ def test_threshold_never_exceeds_bound():
         if not a.is_zero:
             cases.append((model, (), [MonomialFunction(a)], (), (), ()))
     _check_models(cases)
+
+
+# The `bound` model of perfbench's cli-cold workload, copied so that these
+# tests do not depend on the benchmark.
+CLI_MODEL = {"dim": 3, "factors": [
+    {"pole": [2, 1, 0], "twist": ["1/2", "0", "0"], "rank": 2},
+    {"pole": [0, 3, 1], "twist": ["0", "1/4", "0"], "rank": 1},
+    {"pole": [0, 0, 0], "twist": ["1/3", "0", "1/2"], "rank": 1}]}
+
+
+def _oracle_threshold(model, a):
+    # The Fraction formulas the integer route replaced: max over supp(a) of
+    # max_j pole_j[i] / a_i, applicable iff supp(a) lies in the union of the
+    # factors' pole supports.
+    support = sorted(set().union(*(f.pole.support for f in model.factors)))
+    tops = [max((f.pole[i] for f in model.factors), default=0)
+            for i in range(model.dim)]
+    value = max((F(tops[i]) / a[i] for i in a.support), default=F(0))
+    return value, set(a.support) <= set(support), tuple(support), tops
+
+
+def test_integer_threshold_matches_fraction_oracle():
+    rng = random.Random(36)
+    models = [random_good_model(rng) for _ in range(24)]
+    assert {m.dim for m in models} == {1, 2, 3, 4}
+    models += [GoodModel(2, [ModelFactor(MultiIndex((0, 0)), rank=2)]),
+               GoodModel(3, []),
+               GoodModel(3, [ModelFactor(MultiIndex((2, 0, 1))),
+                             ModelFactor(MultiIndex((1, 0, 3)))]),
+               model_from_dict(CLI_MODEL)]
+    for model in models:
+        for entries in itertools.product(range(5), repeat=model.dim):
+            if not any(entries):
+                continue
+            a = MultiIndex(entries)
+            value, applicable, support, tops = _oracle_threshold(model, a)
+            thr = vanishing_threshold(model, MonomialFunction(a))
+            assert (thr.value, thr.criterion_applicable) == (value, applicable)
+            assert type(thr.value) is F
+        assert model.pole_support == support
+        assert highest_generic_slopes(model).weights == tuple(map(F, tops))
+        assert model.pole_max == tuple(tops)
+
+
+def test_threshold_rejects_a_function_of_another_dimension():
+    model = model_from_dict(CLI_MODEL)
+    for entries in ((1, 2), (1, 2, 0, 1)):
+        with pytest.raises(ValueError, match="dimension"):
+            vanishing_threshold(model, MonomialFunction(entries))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_applicable_threshold_bounds_restricted_nearby_slopes():
+    # The factor with pole (0, 3, 1) restricts along (1, 1, 40) to slope
+    # (3 + 40)/3, above the threshold 2 that is claimed as applicable.
+    model = model_from_dict(CLI_MODEL)
+    f = MonomialFunction((1, 2, 0))
+    thr = vanishing_threshold(model, f)
+    restricted, k = curve_restriction(model, MultiIndex((1, 1, 40)), f)
+    near = nearby_slopes(restricted, k)
+    assert not thr.criterion_applicable or max(near) <= thr.value
 
 
 def test_lemma_vanishing_verdicts():
@@ -216,7 +277,7 @@ def test_model_file_round_trip(tmp_path):
                                       twist=(F(1, 2), F(0)), rank=2),
                           ModelFactor(MultiIndex((0, 0)), rank=1)])
     path = tmp_path / "two.model"
-    save_model(model, str(path))
+    path.write_text(json.dumps(model_to_dict(model)))
     again = load_model(str(path))
     assert again == model
     raw = json.loads(path.read_text())
