@@ -45,7 +45,6 @@ from slopelab.exact_algebra import (
     CycloRat,
     MultiIndex,
     RamifiedExponent,
-    Rat,
 )
 from slopelab.expr import module_to_expr, parse_and_eval, parse_module
 from slopelab.monomial_models import (

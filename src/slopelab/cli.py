@@ -294,7 +294,11 @@ def _cmd_selftest(args) -> int:
         raise _UsageError("--cases must be >= 1")
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("SLOPELAB_SEED", randomgen.DEFAULT_SEED))
+        env = os.environ.get("SLOPELAB_SEED", randomgen.DEFAULT_SEED)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"SLOPELAB_SEED must be an integer, got {env!r}") from None
     results = run_selftest(seed=seed, cases=args.cases)
     ok = all(r.ok for r in results)
     if args.json:

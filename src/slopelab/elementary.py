@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
 from slopelab.exact_algebra import (CycloRat, RamifiedExponent, _hash_once, _map_powers,
-                                    _monomial, _zeta_pow)
+                                    _monomial, _prime_factors, _zeta_pow)
 
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
@@ -266,17 +266,6 @@ def _kernel_generator(p: int, q: int, M: int) -> int:
                  if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
         a = 1 + q * ((g - 1) * pow(q, -1, p) % p)
     return next(b for b in range(a, M, p * q) if gcd(b, M) == 1)
-
-
-def _prime_factors(n: int) -> list[int]:
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] * (n > 1)
 
 
 def make_elementary(ram: int,

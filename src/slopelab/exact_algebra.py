@@ -1,10 +1,10 @@
 """Exact scalar arithmetic shared by the whole engine.
 
-Everything here is exact: rationals are `fractions.Fraction` (re-exported as
-`Rat`), cyclotomic numbers are stored in the power basis of a primitive root
-of unity reduced modulo the cyclotomic polynomial, and ramified principal
-parts are finite Laurent tails with cyclotomic coefficients.  No floating
-point enters anywhere.
+Everything here is exact: rationals are `fractions.Fraction`, cyclotomic
+numbers are stored in the power basis of a primitive root of unity reduced
+modulo the cyclotomic polynomial, and ramified principal parts are finite
+Laurent tails with cyclotomic coefficients.  No floating point enters
+anywhere.
 
 Canonical forms are load-bearing: module isomorphism tests downstream reduce
 to structural equality of these values, so every constructor normalizes.
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
-
-Rat = Fraction
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -34,6 +33,18 @@ def divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] * (n > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +161,7 @@ def _demote(order: int, coords: tuple[Fraction, ...]) -> tuple[int, tuple[Fracti
 
 @lru_cache(maxsize=262144)
 def _demote_cached(order: int, coords: tuple[Fraction, ...]):
-    for p in [d for d in divisors(order) if euler_phi(d) == d - 1]:
+    for p in _prime_factors(order):
         while order % p == 0:
             m = order // p
             if m % p == 0:
@@ -170,51 +181,6 @@ def _demote_cached(order: int, coords: tuple[Fraction, ...]):
                 coords = diffs[0]
             order = m
     return order, coords
-
-
-def _poly_inverse_mod(coeffs: Sequence[Fraction], phi: Sequence[int]) -> list[Fraction]:
-    # Extended Euclid in Q[x]: inverse of coeffs modulo the monic polynomial phi.
-    def degree(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
-
-    def sub(a, b):
-        out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-        for i, y in enumerate(b):
-            out[i] -= y
-        return out
-
-    r0 = [Fraction(c) for c in phi]
-    r1 = list(coeffs)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while degree(r1) > 0:
-        d0, d1 = degree(r0), degree(r1)
-        if d0 < d1:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        factor = r0[d0] / r1[d1]
-        shift = d0 - d1
-        q = [Fraction(0)] * shift + [factor]
-        r0 = sub(r0, mul(q, r1))
-        s0 = sub(s0, mul(q, s1))
-        if degree(r0) < degree(r1):
-            r0, r1, s0, s1 = r1, r0, s1, s0
-    d1 = degree(r1)
-    if d1 < 0:
-        raise ZeroDivisionError("inverse of zero cyclotomic number")
-    lead = r1[0] if d1 == 0 else r1[d1]
-    return [c / lead for c in s1]
 
 
 def _hash_once(self) -> int:
@@ -300,15 +266,6 @@ class CycloRat:
     def is_zero(self) -> bool:
         return self.order == 1 and self.coords[0] == 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self.order == 1
-
-    def as_rational(self) -> Fraction:
-        if self.order != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
-
     def sort_key(self):
         """Fixed total order: by field order, then coordinatewise."""
         return (self.order, self.coords)
@@ -383,42 +340,16 @@ class CycloRat:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloRat":
+        """1/self = others/norm: `others` is the product of the Galois
+        conjugates sigma_k(self) for the units k != 1 mod the order, and
+        the norm self*others is a nonzero rational.  A conjugate generates
+        the same field as self, so it is canonical as built."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.order == 1:
-            return CycloRat(1, (1 / self.coords[0],), _canonical=True)
-        inv = _poly_inverse_mod(self.coords, cyclotomic_polynomial(self.order))
-        coords = _reduce_mod_cyclotomic(inv, self.order)
-        # The inverse generates the same field: no demotion possible.
-        return CycloRat(self.order, coords, _canonical=True)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k == 0:
-            return _ONE
-        base = self if k > 0 else self.inverse()
-        k = abs(k)
-        result = None
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        n = self.order
+        others = reduce(mul, (CycloRat(n, _map_powers(n, self.coords, k), _canonical=True)
+                              for k in range(2, n) if gcd(k, n) == 1), _ONE)
+        return others * (1 / (self * others).coords[0])
 
     # -- comparison & hashing -------------------------------------------------
 

@@ -417,6 +417,13 @@ def test_selftest_env_seed(capsys, monkeypatch):
     assert "seed 99" in out
 
 
+def test_selftest_env_seed_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SLOPELAB_SEED", "abc")
+    code, out, err = run(capsys, "selftest", "--cases", "1")
+    assert code == 1 and out == ""
+    assert err == "error: SLOPELAB_SEED must be an integer, got 'abc'\n"
+
+
 def test_selftest_failure_is_replayable(capsys, monkeypatch):
     # A "dual" that adds a summand breaks the involution on every case.
     selftest = sys.modules["slopelab.selftest"]

@@ -60,7 +60,7 @@ def test_pruned_galois_canonical_matches_the_full_orbit():
     rng = random.Random(31)
     z, q = CycloRat.zeta, CycloRat.from_rational
     by_logs = (q(1), q(-1), q(F(2, 3)), q(F(-3, 2)), z(3), -z(3), z(4), z(5),
-               -2 * z(12, 7), -z(8, 3), 3 * z(8, 3), z(20, 11) / 2, -z(7, 2))
+               -2 * z(12, 7), -z(8, 3), 3 * z(8, 3), F(1, 2) * z(20, 11), -z(7, 2))
     by_product = (z(3, 2), -2 * z(3, 2), z(3) * z(5), -z(15, 13), -z(9, 7),
                   1 + z(4), -2 - z(3), 1 + z(12), z(5) - z(7), 2 + z(8, 3))
     assert all(_monomial(c) for c in by_logs) and not any(map(_monomial, by_product))
@@ -117,8 +117,8 @@ def test_monomial_decomposition_matches_the_brute_force_search():
         brute = set()
         for e in range(m):
             ratio = c * z(m, -e)
-            if ratio.is_rational:
-                brute.add((ratio.as_rational(), z(m, e)))
+            if ratio.order == 1:
+                brute.add((ratio.coords[0], z(m, e)))
         found = _monomial(c)
         assert (found is not None) == (sum(map(bool, c.coords)) == 1), c
         if found is None:
@@ -536,7 +536,6 @@ def _refuse_division(monkeypatch):
         raise AssertionError("CycloRat division")
 
     monkeypatch.setattr(CycloRat, "inverse", refuse)
-    monkeypatch.setattr(CycloRat, "__truediv__", refuse)
 
 
 def test_all_cyclotomic_coefficients_match_the_composed_route(monkeypatch):
@@ -581,7 +580,7 @@ def test_root_log_matches_the_brute_force_search(monkeypatch):
     z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
     values = [CycloRat.from_rational(x) for x in (1, -1, 2)] + [
         z3, z4, z5, -z3, 1 + z4, 2 * z3, CycloRat.zeta(12, 5), CycloRat.zeta(8, 3)]
-    ratios = {(c, d): -d / c for c, d in itertools.product(values, repeat=2)}
+    ratios = {(c, d): -d * c.inverse() for c, d in itertools.product(values, repeat=2)}
     _refuse_division(monkeypatch)
     found = 0
     for (c, d), rho in ratios.items():

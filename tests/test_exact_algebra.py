@@ -3,7 +3,9 @@ multi-indices."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from slopelab.exact_algebra import (
     CycloRat,
     MultiIndex,
     RamifiedExponent,
+    _prime_factors,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -50,14 +53,20 @@ def test_cyclotomic_product_recovers_x_n_minus_1():
 
 
 def test_euler_phi_matches_direct_count():
-    from math import gcd
-    for n in range(1, 30):
+    # Also the oracle for the prime list: q is prime iff phi(q) = q - 1.
+    for n in list(range(1, 200)) + [600, 1200, 1260]:
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert _prime_factors(n) == [q for q in divisors(n) if euler_phi(q) == q - 1]
 
 
 # ---------------------------------------------------------------------------
 # CycloRat: frozen examples.
 # ---------------------------------------------------------------------------
+
+def _power(x: CycloRat, k: int) -> CycloRat:
+    # x**k for k >= 1 by repeated products.
+    return reduce(mul, [x] * k)
+
 
 def test_zeta2_squared_is_one():
     z2 = CycloRat.zeta(2)
@@ -90,7 +99,7 @@ def test_derived_product_in_third_cyclotomic_field():
     assert oracle == {0: Fraction(1), 1: Fraction(0)}
 
     z3 = CycloRat.zeta(3)
-    lhs = (1 + z3) * (1 + z3 ** 2)
+    lhs = (1 + z3) * (1 + _power(z3, 2))
     assert lhs == 1
 
 
@@ -98,20 +107,20 @@ def test_mixed_order_product_lands_in_lcm_field():
     z3, z4 = CycloRat.zeta(3), CycloRat.zeta(4)
     w = z3 * z4
     assert w.order == 12
-    assert w ** 12 == 1
-    assert w ** 6 == -1  # (zeta_12^7)^6 = zeta_2^7 = -1
+    assert _power(w, 12) == 1
+    assert _power(w, 6) == -1  # (zeta_12^7)^6 = zeta_2^7 = -1
 
 
 def test_canonical_form_across_construction_routes():
     # zeta_3 reached through the order-12 field demotes back to order 3.
-    assert CycloRat.zeta(12) ** 4 == CycloRat.zeta(3)
-    assert (CycloRat.zeta(12) ** 4).order == 3
+    assert _power(CycloRat.zeta(12), 4) == CycloRat.zeta(3)
+    assert _power(CycloRat.zeta(12), 4).order == 3
     # zeta_6 = -zeta_3^2 lives in the order-3 field.
-    assert CycloRat.zeta(6) == -(CycloRat.zeta(3) ** 2)
+    assert CycloRat.zeta(6) == -_power(CycloRat.zeta(3), 2)
     assert CycloRat.zeta(6).order == 3
     # zeta_8^4 = -1 is rational.
-    assert (CycloRat.zeta(8) ** 4).order == 1
-    assert CycloRat.zeta(8) ** 4 == -1
+    assert _power(CycloRat.zeta(8), 4).order == 1
+    assert _power(CycloRat.zeta(8), 4) == -1
 
 
 def test_closed_form_roots_match_the_demotion_route():
@@ -158,7 +167,7 @@ def test_demotion_finds_the_least_field_by_galois_action():
 def test_rational_embedding_and_arithmetic():
     half = CycloRat.from_rational(Fraction(1, 2))
     assert half + half == 1
-    assert (half * 4).as_rational() == Fraction(2)
+    assert (half * 4).order == 1 and (half * 4).coords[0] == Fraction(2)
     assert not half.is_zero
     assert CycloRat.from_rational(0).is_zero
 
@@ -168,7 +177,33 @@ def test_inverse_of_one_plus_zeta3():
     a = 1 + z3
     assert a * a.inverse() == 1
     # 1/(1 + zeta_3) = (1 + zeta_3^2) by the derived product above.
-    assert a.inverse() == 1 + z3 ** 2
+    assert a.inverse() == 1 + _power(z3, 2)
+
+
+def test_inverse_in_the_least_field():
+    # Seeded elements whose least field is Q(zeta_n), spread over several
+    # coordinates or on one: the inverse stays in that field.  Rationals
+    # invert to their reciprocals, and zero has no inverse.
+    rng = random.Random(36)
+    for n in (5, 8, 15, 20, 36):
+        deg = euler_phi(n)
+        drawn = {"spread": 0, "one term": 0}
+        while min(drawn.values()) < 3:
+            coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(deg)]
+            if rng.random() < 0.5:
+                e = rng.randrange(deg)
+                coords = [x if i == e else 0 for i, x in enumerate(coords)]
+            a = CycloRat(n, coords)
+            if a.order != n:
+                continue
+            drawn["one term" if sum(map(bool, a.coords)) == 1 else "spread"] += 1
+            inv = a.inverse()
+            assert a * inv == 1, a
+            assert inv.order == n, a
+    for x in (Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2)):
+        assert CycloRat.from_rational(x).inverse() == CycloRat.from_rational(1 / x)
+    with pytest.raises(ZeroDivisionError):
+        CycloRat.from_rational(0).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +247,7 @@ def test_embedding_into_larger_fields_is_exact_and_injective():
     for _ in range(60):
         a = _random_cyclo(rng)
         assert (a + z12) - z12 == a
-        assert (a * z12) * z12 ** 11 == a  # z12^12 = 1
+        assert (a * z12) * _power(z12, 11) == a  # z12^12 = 1
         key = (a.order, a.coords)
         if key in seen:
             assert seen[key] == a
