@@ -18,9 +18,11 @@ and vS(P) = sum_C w(C) vS(C).  The two modes differ only in how w is given:
   in {0,1} elsewhere), which reproduces the bookkeeping without any fan
   geometry.
 
-The key inequality vS(E) <= deg(S) * vZ(E) is asserted after every step via
-the three-line estimate that drives the induction; a violation raises
-FalsificationError and is surfaced loudly, never silently.
+The key inequality vS(E) <= deg(S) * vZ(E) is asserted on every step via the
+three-line estimate that drives the induction; a violation raises
+FalsificationError and is surfaced loudly, never silently.  Each component is
+also its row of the inequality report, built once.  Rows never change, so one
+check of the final rows is the check after every step.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from slopelab.errors import (FalsificationError, ScriptError, json_field, json_int,
                              json_list, json_rat)
@@ -49,7 +51,8 @@ class Component:
     Strict components keep their initial multiplicities forever; exceptional
     components get theirs from the recursion at creation time.  A strict-Z
     component may also carry a positive S-multiplicity (Z and S can share
-    components).
+    components).  A component is its own row of the inequality report, with
+    bound = deg(S) * vZ and margin = bound - vS; only rows over Z are checked.
     """
 
     id: str
@@ -57,6 +60,18 @@ class Component:
     ray: Optional[tuple[int, ...]]
     vZ: int
     vS: Fraction
+    bound: Fraction
+    margin: Fraction
+
+    @property
+    def checked(self) -> bool:
+        return self.vZ > 0
+
+
+def _component(id: str, kind: ComponentKind, ray: Optional[tuple[int, ...]],
+               vZ: int, vS: Fraction, degS: Fraction) -> Component:
+    bound = degS * vZ
+    return Component(id, kind, ray, vZ, vS, bound, bound - vS)
 
 
 @dataclass(frozen=True)
@@ -97,7 +112,10 @@ class BlowupState:
     z_vector: tuple[int, ...]
     s_vector: tuple[Fraction, ...]
     fan: Optional[Fan]
-    steps_applied: int = 0
+
+    @property
+    def steps_applied(self) -> int:
+        return len(self.components) - self.dim
 
     def by_kind(self, kind: ComponentKind) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.kind == kind)
@@ -119,21 +137,9 @@ class BlowupStep:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    id: str
-    kind: ComponentKind
-    ray: Optional[tuple[int, ...]]
-    vZ: int
-    vS: Fraction
-    bound: Fraction
-    margin: Fraction
-    checked: bool
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     degS: Fraction
-    rows: tuple[ReportRow, ...]
+    rows: tuple[Component, ...]
     violations: tuple[str, ...]
 
     @property
@@ -157,15 +163,16 @@ def initial_state(dim: int, z_mult: Sequence[int], s_mult: Sequence,
         raise ScriptError("multiplicities must be nonnegative")
     if not any(a):
         raise ScriptError("Z must be a nonempty divisor (some a_i > 0)")
+    degS = sum(r, Fraction(0))
     comps = []
     for i in range(dim):
         ray = tuple(1 if j == i else 0 for j in range(dim)) if mode == "toric" else None
         kind = ComponentKind.STRICT_Z if a[i] > 0 else ComponentKind.STRICT_S
-        comps.append(Component(f"D{i + 1}", kind, ray, a[i], r[i]))
+        comps.append(_component(f"D{i + 1}", kind, ray, a[i], r[i], degS))
     fan = None
     if mode == "toric":
         fan = Fan(tuple(c.ray for c in comps), (frozenset(range(dim)),))
-    return BlowupState(mode, dim, tuple(comps), sum(r, Fraction(0)), a, r, fan)
+    return BlowupState(mode, dim, tuple(comps), degS, a, r, fan)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +181,7 @@ def initial_state(dim: int, z_mult: Sequence[int], s_mult: Sequence,
 
 def _check_induction_chain(state: BlowupState, weighted_alpha: Fraction,
                            s_incidence: Fraction, eps_vZ: Fraction,
-                           eps_vS: Fraction, vZ_new: Fraction,
-                           vS_new: Fraction) -> None:
+                           eps_vS: Fraction) -> None:
     # The three-line estimate behind the induction, asserted verbatim:
     #   degS*(sum a_i alpha_i + sum eps_E vZ(E)) >= degS + degS*sum eps_E vZ(E)
     #                                            >= sum r_j eps_j + degS*sum eps_E vZ(E)
@@ -189,8 +195,6 @@ def _check_induction_chain(state: BlowupState, weighted_alpha: Fraction,
         raise FalsificationError(
             f"induction chain failed: {lhs} >= {mid1} >= {mid2} >= {rhs} "
             f"(degS={degS})")
-    if not (vZ_new == weighted_alpha + eps_vZ and vS_new == rhs):
-        raise FalsificationError("recursion bookkeeping disagrees with the chain")
 
 
 def _center_incidence(state: BlowupState, ids: Sequence[str]) -> list[int]:
@@ -306,35 +310,26 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
                 f"ray {new_ray} gives ({pair_z}, {pair_s}), recursion gives "
                 f"({vZ_new}, {vS_new})")
 
-    _check_induction_chain(state, weighted_alpha, s_incidence, eps_vZ, eps_vS,
-                           vZ_new, vS_new)
+    _check_induction_chain(state, weighted_alpha, s_incidence, eps_vZ, eps_vS)
 
-    # The first dim components are the strict transforms; the rest are E1, E2, ...
-    new_id = f"E{len(state.components) - state.dim + 1}"
-    new_comp = Component(new_id, ComponentKind.EXCEPTIONAL, new_ray, vZ_new, vS_new)
+    new_comp = _component(f"E{state.steps_applied + 1}", ComponentKind.EXCEPTIONAL,
+                          new_ray, vZ_new, vS_new, state.degS)
     return BlowupState(state.mode, state.dim, state.components + (new_comp,),
-                       state.degS, state.z_vector, state.s_vector, fan,
-                       state.steps_applied + 1)
+                       state.degS, state.z_vector, state.s_vector, fan)
 
 
 def verify_inequality(state: BlowupState) -> InequalityReport:
     """Check vS(E) <= deg(S) * vZ(E) on every component over Z.
 
-    Components with vZ = 0 are reported but not checked (they do not lie over
-    the zero locus).  Any violation would falsify the engine's bookkeeping
+    The rows are the components themselves.  Components with vZ = 0 are
+    reported but not checked (they do not lie over the zero locus).  The
+    check reads each row's own margin, not the induction estimate that
+    blow_up asserted; any violation would falsify the engine's bookkeeping
     and is listed explicitly.
     """
-    rows = []
-    violations = []
-    for c in state.components:
-        bound = state.degS * c.vZ
-        margin = bound - c.vS
-        checked = c.vZ > 0
-        rows.append(ReportRow(c.id, c.kind, c.ray, c.vZ, c.vS, bound, margin,
-                              checked))
-        if checked and margin < 0:
-            violations.append(c.id)
-    return InequalityReport(state.degS, tuple(rows), tuple(violations))
+    return InequalityReport(state.degS, state.components,
+                            tuple(c.id for c in state.components
+                                  if c.checked and c.margin < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +358,12 @@ def step_from_dict(data: Mapping, mode: str) -> BlowupStep:
         raise ScriptError(f"malformed step: {exc}")
 
 
-def iter_chain(script: Mapping) -> Iterator[BlowupState]:
-    """Parse a script dictionary, then yield its initial state and the state
-    after each step; deterministic.
+def replay(script: Mapping) -> BlowupState:
+    """Parse a script dictionary and fold its steps into the final state;
+    deterministic.
 
-    Steps are parsed one at a time, so a consumer that stops early never
-    reads the rest.  Step rejections are re-raised with the 1-based step
-    index attached.
+    Step rejections are re-raised with the 1-based step index attached.
+    The state after step i is the final state's first dim + i components.
     """
     try:
         dim = json_int(json_field(script, "dim", "the script"), "'dim'")
@@ -387,13 +381,12 @@ def iter_chain(script: Mapping) -> Iterator[BlowupState]:
         raise ScriptError(f"malformed script: 'steps' must be a list, "
                           f"got {raw_steps!r}")
     state = initial_state(dim, z_mult, s_mult, mode)
-    yield state
     for idx, raw in enumerate(raw_steps, start=1):
         try:
             state = blow_up(state, step_from_dict(raw, mode))
         except ScriptError as exc:
             raise ScriptError(str(exc), step=idx) from exc
-        yield state
+    return state
 
 
 def load_script(path: str) -> dict:

@@ -261,15 +261,14 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    script = blowup_mod.load_script(args.script)
-    step_reports = []
-    for state in blowup_mod.iter_chain(script):
-        if args.verify and state.steps_applied:
-            report = blowup_mod.verify_inequality(state)
-            step_reports.append((state.steps_applied, report.ok))
-            if not report.ok:
-                break
+    state = blowup_mod.replay(blowup_mod.load_script(args.script))
     final = blowup_mod.verify_inequality(state)
+    # Rows never change, so the state after step i is the first dim + i rows
+    # of the final one, and step i holds iff none of those is violated.
+    ids = [c.id for c in state.components]
+    first_bad = min(map(ids.index, final.violations), default=len(ids))
+    step_reports = [(i, state.dim + i <= first_bad)
+                    for i in range(1, state.steps_applied + 1)]
     if args.json:
         payload = blowup_mod.report_to_dict(final)
         payload.update({"command": "blowup", "steps": state.steps_applied,

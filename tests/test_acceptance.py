@@ -166,8 +166,10 @@ def test_criterion_6_monomial_coherence():
 
 def test_criterion_7_blowup_sweep():
     """1000 randomized admissible chains in both modes; the multiplicity
-    inequality and the three-line induction estimate hold after every step
-    (the step operation itself asserts the estimate)."""
+    inequality and the three-line induction estimate hold after every step.
+    The step operation itself asserts the estimate.  The inequality is
+    checked once, on each chain's final rows: blow-ups only append rows and
+    never change one, so that is the check after every step."""
     rng = random.Random(ACCEPTANCE_SEED + 3)
     chains = [random_chain_script(rng, max_dim=4, max_steps=6,
                                   mode="toric" if i % 2 == 0 else "abstract")

@@ -13,9 +13,10 @@ from slopelab.blowup import (
     ComponentKind,
     blow_up,
     initial_state,
-    iter_chain,
+    replay,
     report_to_dict,
     report_to_text,
+    step_from_dict,
     verify_inequality,
 )
 from slopelab.cli import main as cli_main
@@ -47,12 +48,22 @@ def test_origin_blowup_multiplicities():
 
 
 def test_base_case_rows_hold_initially():
-    state = initial_state(2, [1, 2], [F(1, 2), 3], "toric")
-    report = verify_inequality(state)
-    assert report.ok
-    for row in report.rows:
-        if row.checked:
-            assert row.vS <= state.degS * row.vZ
+    # r_i <= deg S <= deg S * a_i on every checked row, for any initial state.
+    rng = random.Random(56)
+    states = [initial_state(2, [1, 2], [F(1, 2), 3], "toric")]
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        a = [rng.choice((0, 0, 1, 2, 3)) for _ in range(dim)]
+        a[rng.randrange(dim)] = rng.randint(1, 3)
+        r = [F(rng.randint(0, 7), rng.randint(1, 4)) for _ in range(dim)]
+        states.append(initial_state(dim, a, r, rng.choice(("toric", "abstract"))))
+    for state in states:
+        report = verify_inequality(state)
+        assert report.ok
+        for row in report.rows:
+            if row.checked:
+                assert row.vS <= state.degS * row.vZ
+                assert row.margin >= 0
 
 
 def test_center_meeting_only_one_component():
@@ -136,8 +147,10 @@ def test_toric_steps_agree_with_their_abstract_incidences():
     steps = 0
     for _ in range(200):
         script = random_chain_script(rng, mode="toric")
-        chain = list(iter_chain(script))
-        for before, after, raw in zip(chain, chain[1:], script["steps"]):
+        after = initial_state(script["dim"], script["Z"]["a"], script["S"]["r"],
+                              "toric")
+        for raw in script["steps"]:
+            before, after = after, blow_up(after, step_from_dict(raw, "toric"))
             def indicator(kind):
                 return tuple(int(c.id in raw["center"]) for c in before.by_kind(kind))
 
@@ -158,7 +171,7 @@ def test_blowup_failures_print_a_replayable_script(tmp_path, capsys,
                                                    monkeypatch, mode):
     rng = random.Random(55)
     script = random_chain_script(rng, mode=mode, max_steps=6)
-    *_, state = iter_chain(script)
+    state = replay(script)
     last = state.steps_applied
     assert last >= 2
     # Flag the last state of the chain, so that only the check goes red.
@@ -175,11 +188,56 @@ def test_blowup_failures_print_a_replayable_script(tmp_path, capsys,
     monkeypatch.undo()
     assert failure.startswith("case 0: chain: inequality violated at ")
     assert f"after step {last}; script for slopelab blowup -s: " in failure
-    replay = tmp_path / "replay.blowup"
-    replay.write_text(failure.split("blowup -s: ")[1])
-    assert cli_main(["blowup", "-s", str(replay), "--verify", "--json"]) == 0
+    replay_path = tmp_path / "replay.blowup"
+    replay_path.write_text(failure.split("blowup -s: ")[1])
+    assert cli_main(["blowup", "-s", str(replay_path), "--verify", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["steps"] == last and data["mode"] == mode
+
+
+def test_per_step_verdicts_match_a_verify_of_every_prefix(tmp_path, capsys):
+    # Oracle: build every prefix state step by step and verify each one.
+    rng = random.Random(57)
+    for i in range(120):
+        script = random_chain_script(rng, mode="toric" if i % 2 else "abstract")
+        state = initial_state(script["dim"], script["Z"]["a"], script["S"]["r"],
+                              script["mode"])
+        per_step = []
+        for step, raw in enumerate(script["steps"], start=1):
+            state = blow_up(state, step_from_dict(raw, script["mode"]))
+            per_step.append({"step": step, "ok": verify_inequality(state).ok})
+        path = tmp_path / f"chain{i}.blowup"
+        path.write_text(json.dumps(script))
+        assert cli_main(["blowup", "-s", str(path), "--verify", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["per_step"] == per_step, script
+        assert data["steps"] == len(per_step), script
+        assert data["components"] == report_to_dict(verify_inequality(state))["components"]
+
+
+def test_per_step_verdicts_turn_red_from_the_first_violated_row(tmp_path, capsys,
+                                                                 monkeypatch):
+    rng = random.Random(58)
+    script = random_chain_script(rng, mode="toric")
+    while len(script["steps"]) < 3:
+        script = random_chain_script(rng, mode="toric")
+    path = tmp_path / "chain.blowup"
+    path.write_text(json.dumps(script))
+    real = blowup.verify_inequality
+
+    def flag_e2(state):
+        report = real(state)
+        if all(c.id != "E2" for c in state.components):
+            return report
+        return dataclasses.replace(report, violations=("E2",))
+
+    monkeypatch.setattr(blowup, "verify_inequality", flag_e2)
+    assert cli_main(["blowup", "-s", str(path), "--verify"]) == 2
+    captured = capsys.readouterr()
+    verdicts = [line for line in captured.out.splitlines() if line.startswith("step ")]
+    assert verdicts == ["step 1: ok"] + [
+        f"step {i}: INEQUALITY VIOLATED" for i in range(2, len(script["steps"]) + 1)]
+    assert "E2" in captured.err
 
 
 def test_exceptional_components_accumulate_and_keep_values():
@@ -233,7 +291,7 @@ def test_smooth_fan_invariant_unimodular_cones():
 
     rng = random.Random(53)
     for _ in range(20):
-        *_, state = iter_chain(random_chain_script(rng, mode="toric", max_steps=4))
+        state = replay(random_chain_script(rng, mode="toric", max_steps=4))
         fan = state.fan
         for cone in fan.max_cones:
             rays = [list(fan.rays[i]) for i in sorted(cone)]
@@ -253,9 +311,9 @@ def test_abstract_step_defaults_missing_eps_to_zero():
 
 
 def test_empty_script_gives_initial_state():
-    *_, state = iter_chain({"dim": 2, "Z": {"a": [1, 1]},
-                            "S": {"r": ["2", "3"]}, "mode": "toric",
-                            "steps": []})
+    state = replay({"dim": 2, "Z": {"a": [1, 1]},
+                    "S": {"r": ["2", "3"]}, "mode": "toric",
+                    "steps": []})
     assert state.steps_applied == 0
     assert [c.id for c in state.components] == ["D1", "D2"]
 
@@ -263,7 +321,7 @@ def test_empty_script_gives_initial_state():
 def test_one_step_script_matches_directly_built_state():
     script = {"dim": 2, "Z": {"a": [1, 1]}, "S": {"r": ["2", "3"]},
               "mode": "toric", "steps": [{"center": ["D1", "D2"]}]}
-    *_, state = iter_chain(script)
+    state = replay(script)
     assert state == origin_blowup_state()
 
 
@@ -272,7 +330,7 @@ def test_script_errors_cite_the_step_index():
               "mode": "toric",
               "steps": [{"center": ["D1", "D2"]}, {"center": ["D2", "E1"]}]}
     with pytest.raises(ScriptError, match="step 2.*condition \\(i\\)"):
-        list(iter_chain(script))
+        replay(script)
 
 
 def test_abstract_script_round_trip():
@@ -280,7 +338,7 @@ def test_abstract_script_round_trip():
               "mode": "abstract",
               "steps": [{"alpha": [1, 0], "epsS": [1], "epsE": []},
                         {"alpha": [0, 2], "epsS": [0], "epsE": [1]}]}
-    *_, state = iter_chain(script)
+    state = replay(script)
     assert state.steps_applied == 2
     e1, e2 = state.components[-2], state.components[-1]
     assert e1.vZ == 1 and e1.vS == F(1, 2) + 3
