@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
@@ -77,7 +77,7 @@ class RegularPart:
     def from_exponents(cls, exponents: Iterable) -> "RegularPart":
         return cls([(Fraction(e), 1) for e in exponents])
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(m for _, m in self.exps)
 
@@ -110,8 +110,9 @@ class RegularPart:
         # [0, 1) and come out ascending with j as the outer loop: the
         # normalized multiset as it stands.
         out = object.__new__(RegularPart)
-        object.__setattr__(out, "exps", tuple(((e + j) / d, m) for j in range(d)
-                                              for e, m in self.exps))
+        object.__setattr__(out, "exps", tuple(
+            (Fraction(e.numerator + j * e.denominator, e.denominator * d), m)
+            for j in range(d) for e, m in self.exps))
         return out
 
     def tensor(self, other: "RegularPart") -> "RegularPart":
@@ -143,7 +144,7 @@ class ElementaryModule:
     def rank(self) -> int:
         return self.ram * self.reg.rank
 
-    @property
+    @cached_property
     def slope(self) -> Fraction:
         return Fraction(self.phi.pole_order, self.ram)
 
@@ -248,7 +249,7 @@ def _orbit_orders(c: CycloRat, ram: int, residues: Iterable[int]) -> dict[int, i
                 if (p, q) not in steps:
                     a = _kernel_generator(p, q, M)
                     sigma = CycloRat(m, _map_powers(m, c.coords, a % m), _canonical=True)
-                    steps[p, q] = a, _root_log(c, -sigma, M // q)
+                    steps[p, q] = a, _root_log(c, sigma, M // q)
                 a, lam = steps[p, q]
                 if lam is None or (lam - t * (1 - a) // q) % (M // q):
                     break
@@ -361,12 +362,14 @@ class FormalModule:
 # ---------------------------------------------------------------------------
 
 def slopes(module: FormalModule) -> dict[Fraction, int]:
-    """Slope multiset: each factor contributes its slope with multiplicity
-    equal to its rank.  Empty for the zero module."""
+    """Slope multiset, in increasing order as FormalModule.of sorts factors:
+    each factor contributes its slope with multiplicity equal to its rank.
+    Empty for the zero module."""
     out: dict[Fraction, int] = {}
     for f in module.factors:
-        out[f.slope] = out.get(f.slope, 0) + f.rank
-    return dict(sorted(out.items()))
+        s = f.slope
+        out[s] = out.get(s, 0) + f.rank
+    return out
 
 
 def irregularity(module: FormalModule) -> Fraction:
@@ -486,16 +489,18 @@ def psi_dim_twisted(module: FormalModule, twist: FormalModule, p: int) -> int:
     other, so the regular rank is a sum of per-pair counts of such conjugate
     pairs, and each count solves integer congruences on the discrete logs of
     the coefficient ratios.  Any Galois representative of the twist's
-    factors, reduced or not, gives the same dimension.
+    factors, reduced or not, gives the same dimension.  The twist's
+    coefficients are negated once, here, into the terms a summand cancels.
     """
     if p < 1:
         raise ValueError(f"nearby cycles need p >= 1, got {p}")
-    return _twisted_dim(module, [(b.ram, b.phi.terms, b.reg.rank)
+    return _twisted_dim(module, [(b.ram, tuple((k, -c) for k, c in b.phi.terms), b.reg.rank)
                                  for b in twist.factors], p)
 
 
 def _twisted_dim(module: FormalModule, twists, p: int) -> int:
-    # psi_dim_twisted for a twist given as raw (ram, terms, rank) factors.
+    # psi_dim_twisted for a twist given as raw (ram, terms, rank) factors
+    # whose terms are the twist's exponent negated, the part a summand cancels.
     #
     # Per pair (a, b), pullback(p, b) splits into h = gcd(rb, p) conjugates
     # of ramification q' = rb/h, and tensor splits each against a into
@@ -504,8 +509,8 @@ def _twisted_dim(module: FormalModule, twists, p: int) -> int:
     # b's.  Both splits are isomorphisms for any Galois representative and
     # any ramification, reduced or not, so the summands are the composed
     # route's up to relabelling and none needs canonicalizing: a summand is
-    # regular exactly when its exponent vanishes, that is when one conjugate
-    # is the other's negation term by term.  Only equal slopes
+    # regular exactly when its exponent vanishes, that is when a conjugate
+    # of a's equals a pulled-back conjugate of the raw terms.  Only equal slopes
     # na/ra = p*nb/rb can cancel: otherwise the deeper pole survives in
     # every summand.
     total = 0
@@ -521,17 +526,17 @@ def _twisted_dim(module: FormalModule, twists, p: int) -> int:
 
 def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int:
     # The number of (j, i) in [0, g) x [0, h) for which conjugate j of a's
-    # exponent, {k*sa: c_k * zeta_ra^(j*k)}, is the negation of the
-    # pulled-back conjugate i of the twist's, {k'*sb: d_k' * zeta_rb^(i*k')}.
+    # exponent, {k*sa: c_k * zeta_ra^(j*k)}, equals the pulled-back
+    # conjugate i of the raw terms, {k'*sb: d_k' * zeta_rb^(i*k')}.
     #
     # Why the congruences count exactly these pairs: the key sets are the
     # two exponent sets scaled by positive sa and sb, so they agree only if
     # the sorted terms pair off t by t with k_t*sa = k'_t*sb, whatever j and
     # i are.  Then term t cancels iff
-    #     -d/c = zeta_ra^(j*k) * zeta_rb^(-i*k') = zeta_L^(j*k*L/ra - i*k'*L/rb)
+    #     d/c = zeta_ra^(j*k) * zeta_rb^(-i*k') = zeta_L^(j*k*L/ra - i*k'*L/rb)
     # with L = lcm(ra, rb) (CycloRat.zeta is a compatible system,
     # zeta_n^m = zeta_(n/m) for m | n).  The right side is an L-th root of
-    # unity, so no pair cancels unless the ratio rho = -d/c is one, and if
+    # unity, so no pair cancels unless the ratio rho = d/c is one, and if
     # rho = zeta_L^e then, zeta_L having order exactly L, the pairs that
     # cancel term t are those with j*k*L/ra - i*k'*L/rb = e (mod L).
     ra, aterms = a.ram, a.phi.terms
@@ -565,17 +570,16 @@ def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int
 
 
 def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
-    # The e in [0, L) with c * zeta_L^e = -d, or None if there is none.
-    # For monomials c = x * zeta_m^e0 and -d = y * zeta_n^f (x, y > 0),
-    # K = lcm(m, n) and s = f*K/n - e0*K/m: -d/c = (y/x) * zeta_K^s is a
+    # The e in [0, L) with c * zeta_L^e = d, or None if there is none.
+    # For monomials c = x * zeta_m^e0 and d = y * zeta_n^f (x, y > 0),
+    # K = lcm(m, n) and s = f*K/n - e0*K/m: d/c = (y/x) * zeta_K^s is a
     # root of unity iff x == y, and zeta_K^s lies in mu_L iff K | s*L.
-    # Otherwise -d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose
-    # roots of unity are mu_lcm(2, N).  So a zeta_L^e equal to -d/c lies in
+    # Otherwise d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose
+    # roots of unity are mu_lcm(2, N).  So a zeta_L^e equal to d/c lies in
     # mu_g, g = gcd(L, lcm(2, N)), and is zeta_g^t for e = t*L/g with t < g.
-    target = -d
-    if c == target:
+    if c == d:
         return 0
-    mono, other = _monomial(c), _monomial(target)
+    mono, other = _monomial(c), _monomial(d)
     if mono and other:
         (x, m, e0), (y, n, f) = mono, other
         K = lcm(m, n)
@@ -583,27 +587,29 @@ def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
         return s * L // K % L if x == y and s * L % K == 0 else None
     g = gcd(L, lcm(2, c.order, d.order))
     for t in range(1, g):
-        if c * _zeta_pow(g, t) == target:
+        if c * _zeta_pow(g, t) == d:
             return t * (L // g)
     return None
 
 
 def _witness(module: FormalModule, s: Fraction, p: int) -> tuple:
     # The witness twist of module slope s along x**p as a raw factor
-    # (ram, terms, rank): the negated principal part of the first slope-s
-    # factor on the degree-p*ram cover, neither gcd-reduced nor
-    # Galois-canonical, or the unit twist for s = 0.
+    # (ram, terms, rank): the first slope-s factor's own principal part, the
+    # part the twist cancels, on the degree-p*ram cover, neither gcd-reduced
+    # nor Galois-canonical, or the unit twist for s = 0.
     if s == 0:
         return 1, (), 1
     for f in module.factors:
         if f.slope == s:
-            return p * f.ram, tuple((k, -c) for k, c in f.phi.terms), 1
+            return p * f.ram, f.phi.terms, 1
     raise ValueError(f"no factor of slope {s}")
 
 
 def _canonical_twist(raw: tuple) -> FormalModule:
+    # The twist of a raw factor in canonical form: the raw terms negated.
     ram, terms, rank = raw
-    return FormalModule.of([make_elementary(ram, terms, RegularPart.of_rank(rank))])
+    return FormalModule.of([make_elementary(ram, [(k, -c) for k, c in terms],
+                                            RegularPart.of_rank(rank))])
 
 
 def witness_twist(module: FormalModule, r: Fraction, p: int) -> FormalModule:
@@ -629,8 +635,9 @@ def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[F
     member is confirmed through the twisted-vanishing equivalence: the
     witness twist, the negated principal part of a slope-r*p factor on the
     degree-p*ram cover, is measured raw, neither gcd-reduced nor
-    canonicalized, and its nearby-cycle dimension, read off by the kernel of
-    psi_dim_twisted from cancellation counts, checked positive.
+    canonicalized nor negated (the kernel of psi_dim_twisted reads the
+    factor's own principal part as the part to cancel), and its nearby-cycle
+    dimension, read off cancellation counts, checked positive.
     """
     if p < 1:
         raise ValueError(f"nearby slopes need p >= 1, got {p}")
@@ -776,9 +783,12 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
             f"slope {r} was predicted absent (p={p}) but twist "
             f"{_expr(twist)} gives nearby-cycle dimension "
             f"{psi_dim_twisted(module, twist, p)}; {_replay(module, p)}{bounds}")
-    skip = {index[r] for r in claimed if r in index}
-    nonmembers = tuple(rec for i, rec in enumerate(records) if i not in skip)
-    return NearbyCertificate(p, ram_bound, ord_bound, members, nonmembers)
+    nonmembers, start = [], 0
+    for i in sorted(index[r] for r in claimed if r in index):
+        nonmembers += records[start:i]
+        start = i + 1
+    nonmembers += records[start:]
+    return NearbyCertificate(p, ram_bound, ord_bound, members, tuple(nonmembers))
 
 
 @lru_cache(maxsize=8)

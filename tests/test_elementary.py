@@ -172,7 +172,7 @@ def test_orbit_orders_match_the_product_path(monkeypatch):
 
 def test_monomial_root_logs_match_the_equality_search(monkeypatch):
     # The closed form of _root_log for monomials c = x * zeta_m^e and
-    # -d = y * zeta_n^f against the search over every zeta_L^e by equality,
+    # d = y * zeta_n^f against the search over every zeta_L^e by equality,
     # on seeded pairs: rational ones, negative x (folded into a root of
     # order 2m), roots of unity outside mu_L (K does not divide s*L) and
     # x != y.  The closed form forms no product.
@@ -187,13 +187,13 @@ def test_monomial_root_logs_match_the_equality_search(monkeypatch):
     cases = []
     for i in range(400):
         c = monomial(rational=i % 5 == 0)
-        d = -c * z(rng.choice((2, 3, 4, 6, 8, 12)), rng.randrange(24))
+        d = c * z(rng.choice((2, 3, 4, 6, 8, 12)), rng.randrange(24))
         if i % 3 == 0:
-            d = monomial(rational=i % 5 == 0)
-        if not (_monomial(c) and _monomial(-d)):
+            d = -monomial(rational=i % 5 == 0)
+        if not (_monomial(c) and _monomial(d)):
             continue  # a root spread over several coordinates takes the search
         L = rng.randint(1, 36)
-        logs = [e for e in range(L) if c * z(L, e) == -d]
+        logs = [e for e in range(L) if c * z(L, e) == d]
         cases.append((c, d, L, logs[0] if logs else None))
     assert len(cases) >= 250
 
@@ -205,7 +205,7 @@ def test_monomial_root_logs_match_the_equality_search(monkeypatch):
     outcomes = {"found": 0, "outside mu_L": 0, "x != y": 0, "rational": 0, "negative": 0}
     for c, d, L, expected in cases:
         assert _root_log(c, d, L) == expected, (c, d, L)
-        (x, m, e), (y, n, f) = _monomial(c), _monomial(-d)
+        (x, m, e), (y, n, f) = _monomial(c), _monomial(d)
         K = lcm(m, n)
         s = (f * (K // n) - e * (K // m)) % K
         outcomes["found"] += expected is not None
@@ -272,6 +272,41 @@ def test_slope_examples():
 def test_slopes_of_direct_sum():
     m = elementary(1, {-3: 1}) + regular_module(2)
     assert slopes(m) == {F(0): 2, F(3): 1}
+
+
+def _sorted_slopes(module):
+    # The slope multiset recomputed from scratch and sorted explicitly.
+    out = {}
+    for f in module.factors:
+        s = F(f.phi.pole_order, f.ram)
+        out[s] = out.get(s, 0) + f.rank
+    return dict(sorted(out.items()))
+
+
+def test_every_construction_keeps_factors_in_slope_order():
+    # slopes() reads the factors in order and does not sort, so every route
+    # to a module must hand its factors over in nondecreasing slope order.
+    rng = random.Random(71)
+    kinds = set()
+    for _ in range(40):
+        a, b = random_formal_module(rng), random_formal_module(rng, max_factors=2)
+        p = rng.randint(1, 6)
+        built = {
+            "of": FormalModule.of(reversed(a.factors + b.factors)),
+            "+": b + a,
+            "dual": dual(a),
+            "pullback": pullback(p, a),
+            "pushforward": pushforward(p, a),
+            "tensor": tensor(a, b),
+            "parse_and_eval": parse_and_eval(module_to_expr(a + b)),
+        }
+        for kind, m in built.items():
+            order = [f.slope for f in m.factors]
+            assert order == sorted(order), (kind, m)
+            assert list(slopes(m).items()) == list(_sorted_slopes(m).items()), (kind, m)
+            if len(set(order)) > 1:
+                kinds.add(kind)
+    assert len(kinds) == 7, kinds
 
 
 def test_irregularity_examples():
@@ -573,25 +608,44 @@ def test_all_cyclotomic_coefficients_match_the_composed_route(monkeypatch):
 
 
 def test_root_log_matches_the_brute_force_search(monkeypatch):
-    # The discrete log of each coefficient ratio against the search over
-    # every zeta_L^e, e < L; -zeta(3) and -zeta(5) lie in mu_L only for
-    # even L, and 2 and (1 + zeta(4))/zeta(3) in none.  The oracle divides
-    # once per pair up front; _root_log itself runs with division refused.
+    # The discrete log of each coefficient ratio -d/c, the target -d, against
+    # the search over every zeta_L^e, e < L; -zeta(3) and -zeta(5) lie in
+    # mu_L only for even L, and 2 and (1 + zeta(4))/zeta(3) in none.  The
+    # oracle divides once per pair up front; _root_log itself runs with
+    # division refused.
     z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
     values = [CycloRat.from_rational(x) for x in (1, -1, 2)] + [
         z3, z4, z5, -z3, 1 + z4, 2 * z3, CycloRat.zeta(12, 5), CycloRat.zeta(8, 3)]
-    ratios = {(c, d): -d * c.inverse() for c, d in itertools.product(values, repeat=2)}
+    ratios = {(c, -d): -d * c.inverse() for c, d in itertools.product(values, repeat=2)}
     _refuse_division(monkeypatch)
     found = 0
-    for (c, d), rho in ratios.items():
+    for (c, target), rho in ratios.items():
         for L in range(1, 41):
             logs = [e for e in range(L) if CycloRat.zeta(L, e) == rho]
-            assert _root_log(c, d, L) == (logs[0] if logs else None), (c, d, L)
+            assert _root_log(c, target, L) == (logs[0] if logs else None), (c, target, L)
             found += bool(logs)
     assert 0 < found < 121 * 40 // 2
     # A ratio from a field whose roots of unity miss mu_L: the search runs
     # over mu_gcd(6, 14) = {1, -1} only.
-    assert _root_log(CycloRat.from_rational(1), -CycloRat.zeta(7), 6) is None
+    assert _root_log(CycloRat.from_rational(1), CycloRat.zeta(7), 6) is None
+
+
+def test_witness_checks_negate_no_coefficient(monkeypatch):
+    # A witness is measured as the slope factor's own principal part, the
+    # part its twist cancels, so verifying nearby slopes negates nothing.
+    rng = random.Random(79)
+    cases = []
+    for _ in range(12):
+        m = random_formal_module(rng)
+        for p in range(1, 7):
+            cases += [(n, p) for n in (m, dual(m), pushforward(p, m))]
+
+    def refuse(*_):
+        raise AssertionError("a witness check negated a coefficient")
+
+    monkeypatch.setattr(CycloRat, "__neg__", refuse)
+    claimed = [r for n, p in cases for r in nearby_slopes(n, p)]
+    assert sum(r > 0 for r in claimed) > len(cases)
 
 
 def test_slope_mismatched_pairs_never_reach_the_kernel(monkeypatch):
@@ -675,6 +729,33 @@ def test_certificate_members_match_the_composed_route(monkeypatch):
 # ---------------------------------------------------------------------------
 # Hash-once values: cached hashes, pickling and copies.
 # ---------------------------------------------------------------------------
+
+def test_cached_slope_and_rank_stay_out_of_value_semantics():
+    # slope and rank are computed once per instance, but are no fields:
+    # equality, hashing, repr, pickling and copies see the same value as a
+    # fresh instance that never read them.
+    assert [f.name for f in dataclasses.fields(ElementaryModule)] == ["ram", "phi", "reg"]
+    assert [f.name for f in dataclasses.fields(RegularPart)] == ["exps"]
+    rng = random.Random(73)
+    values = []
+    for _ in range(30):
+        m = random_formal_module(rng, max_reg_rank=4)
+        for f in pushforward(rng.randint(1, 4), m).factors:
+            values += [f, f.reg]
+    for v in values:
+        fresh = pickle.loads(pickle.dumps(v))
+        assert "slope" not in vars(fresh) and "rank" not in vars(fresh)
+        if isinstance(v, ElementaryModule):
+            assert v.slope == F(v.phi.pole_order, v.ram) and "slope" in vars(v)
+            assert v.reg.rank == sum(m for _, m in v.reg.exps) and "rank" in vars(v.reg)
+        else:
+            assert v.rank == sum(m for _, m in v.exps) and "rank" in vars(v)
+        assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+        assert pickle.dumps(v) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert clone == fresh and hash(clone) == hash(fresh)
+            assert "slope" not in vars(clone) and "rank" not in vars(clone)
+
 
 def _field_tuple(value):
     if isinstance(value, CycloRat):
