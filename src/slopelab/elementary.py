@@ -18,8 +18,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import (CycloRat, RamifiedExponent, _hash_once, _map_powers,
-                                    _monomial, _prime_factors, _zeta_pow)
+from slopelab.exact_algebra import (CycloRat, RamifiedExponent, hash_once, least_rotation,
+                                    root_log)
 
 # Default certification bounds for non-membership exhaustion.
 DEFAULT_RAM_BOUND = 12
@@ -28,7 +28,7 @@ DEFAULT_ORD_BOUND = 24
 
 def _reduce_fields(self):
     # Pickle and copy through the constructor, without the cached hash; the
-    # same field tuple is what _hash_once hashes.
+    # same field tuple is what hash_once hashes.
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -53,7 +53,7 @@ class RegularPart:
 
     exps: tuple[tuple[Fraction, int], ...]
 
-    __hash__ = _hash_once
+    __hash__ = hash_once
     __reduce__ = _reduce_fields
 
     def __init__(self, exps: Iterable[tuple[Fraction, int]] = ()):
@@ -137,7 +137,7 @@ class ElementaryModule:
     phi: RamifiedExponent
     reg: RegularPart
 
-    __hash__ = _hash_once
+    __hash__ = hash_once
     __reduce__ = _reduce_fields
 
     @property
@@ -164,36 +164,10 @@ def _galois_canonical(phi: RamifiedExponent) -> RamifiedExponent:
     # The k-th coefficient of the j-th conjugate is c_k * zeta_ram^(j*k),
     # and every conjugate has the same exponent set, so the lexicographic
     # minimum is decided term by term: at each exponent keep the j whose
-    # coefficient has the least sort key.  Two j tie on a term exactly when
-    # j*k agrees mod ram (sort keys are canonical), so grouping by that
-    # residue drops only conjugates that lose, and only the one survivor
-    # is ever built.
-    #
-    # A monomial coefficient c = x * zeta_m^e, x a positive rational, is
-    # compared without the product: c * zeta_ram^r = x * zeta_M^t with
-    # M = lcm(m, ram) and t = e*M/m + r*M/ram (mod M).  Scaling by x > 0
-    # keeps the least field and the order of the coordinates, so the
-    # residues compare as the keys of zeta_M^t do.  Distinct r give distinct
-    # t mod M, hence distinct roots and no ties.  Only rational c and c with
-    # one nonzero coordinate are read as monomials (see _monomial).
-    #
-    # Any other c, of least order m, is compared first by the order of each
-    # x_t = c * zeta_M^t, t = r*M/ram, since a sort key leads with it, and
-    # those orders come from Galois logs in integers (_orbit_orders).  The
-    # descent from Q(zeta_n) to Q(zeta_q), q = n/p, runs as _demote's does.
-    # For p = 2 and q odd the two fields are one.  If m does not divide
-    # lcm(q, ram), no x_t lies in Q(zeta_q), because c = x_t * zeta_ram^-r
-    # would then lie in Q(zeta_lcm(q, ram)); so that prime stops with no
-    # field work.  Otherwise Gal(Q(zeta_n)/Q(zeta_q)) is cyclic, generated
-    # by sigma_a for a unit a = 1 (mod q), and x_t, already in Q(zeta_n),
-    # lies in Q(zeta_q) iff sigma_a fixes it: sigma_a(c) = c * zeta_M^(t(1-a)).
-    # As q | 1 - a, that root lies in mu_(M/q), so one log lam of sigma_a(c)
-    # against c modulo M/q (_root_log, no division) decides every residue:
-    # x_t descends iff lam = t(1-a)/q (mod M/q).  Only the residues that tie
-    # on the least order are built as products, and a lone one is not built.
-    # A root of unity spread over many coordinates, such as
-    # zeta(2003)^2002, takes this route too: its orbit mostly stays in
-    # large fields, so only the few residues in its own field are built.
+    # coefficient has the least sort key (least_rotation).  Two j tie on a
+    # term exactly when j*k agrees mod ram (sort keys are canonical), so
+    # grouping by that residue drops only conjugates that lose, and only the
+    # one survivor is ever built.
     ram = phi.ram
     if ram == 1 or phi.is_zero:
         return phi
@@ -202,71 +176,11 @@ def _galois_canonical(phi: RamifiedExponent) -> RamifiedExponent:
         by_residue: dict[int, list[int]] = {}
         for j in survivors:
             by_residue.setdefault(j * k % ram, []).append(j)
-        survivors = by_residue[_least_residue(c, ram, by_residue)]
+        survivors = by_residue[least_rotation(c, ram, by_residue)]
         if len(survivors) == 1:
             break
     j = survivors[0]
     return phi.substitute_root(ram, j, 1) if j else phi
-
-
-def _least_residue(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
-    # The residue r that minimizes (c * zeta_ram^r).sort_key(), by
-    # root-of-unity logs when c is monomial, otherwise by the orders of the
-    # products first (see _galois_canonical).
-    mono = _monomial(c)
-    if mono is None:
-        orders = _orbit_orders(c, ram, residues)
-        least = min(orders.values())
-        ties = [r for r, n in orders.items() if n == least]
-        if len(ties) == 1:
-            return ties[0]
-        return min(ties, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
-    _, m, e = mono
-    M = lcm(m, ram)
-    return min(residues,
-               key=lambda r: _zeta_pow(M, e * (M // m) + r * (M // ram)).sort_key())
-
-
-def _orbit_orders(c: CycloRat, ram: int, residues: Iterable[int]) -> dict[int, int]:
-    # The order of the least field of c * zeta_ram^r for each residue r,
-    # with one Galois log per descent step (p, q), shared by the residues,
-    # and no product (see _galois_canonical).
-    m = c.order
-    M = lcm(m, ram)
-    primes = _prime_factors(M)
-    steps: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
-    orders = {}
-    for r in residues:
-        t, n = r * (M // ram), M
-        for p in primes:
-            while n % p == 0:
-                q = n // p
-                if p == 2 and q % 2:
-                    n = q
-                    continue
-                if lcm(q, ram) % m:
-                    break
-                if (p, q) not in steps:
-                    a = _kernel_generator(p, q, M)
-                    sigma = CycloRat(m, _map_powers(m, c.coords, a % m), _canonical=True)
-                    steps[p, q] = a, _root_log(c, sigma, M // q)
-                a, lam = steps[p, q]
-                if lam is None or (lam - t * (1 - a) // q) % (M // q):
-                    break
-                n = q
-        orders[r] = n
-    return orders
-
-
-def _kernel_generator(p: int, q: int, M: int) -> int:
-    # A unit a mod M, a = 1 (mod q), whose class generates the kernel of
-    # (Z/pq)* -> (Z/q)*: 1 + q when p | q, else a primitive root mod p.
-    a = 1 + q
-    if q % p:
-        g = next(g for g in range(2, p)
-                 if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
-        a = 1 + q * ((g - 1) * pow(q, -1, p) % p)
-    return next(b for b in range(a, M, p * q) if gcd(b, M) == 1)
 
 
 def make_elementary(ram: int,
@@ -319,7 +233,7 @@ class FormalModule:
 
     factors: tuple[ElementaryModule, ...]
 
-    __hash__ = _hash_once
+    __hash__ = hash_once
     __reduce__ = _reduce_fields
 
     @staticmethod
@@ -548,7 +462,7 @@ def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int
     L = lcm(ra, rb)
     congruences = []
     for (k, c), (kb, d) in zip(aterms, terms):
-        e = _root_log(c, d, L) if k * sa == kb * sb else None
+        e = root_log(c, d, L) if k * sa == kb * sb else None
         if e is None:
             return 0
         congruences.append((k * (L // ra), kb * (L // rb), e))
@@ -567,29 +481,6 @@ def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int
             count += sum(all((j * A2 - i * B2 - e2) % L == 0 for A2, B2, e2 in rest)
                          for j in range(rhs // d * inverse % step, g, step))
     return count
-
-
-def _root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
-    # The e in [0, L) with c * zeta_L^e = d, or None if there is none.
-    # For monomials c = x * zeta_m^e0 and d = y * zeta_n^f (x, y > 0),
-    # K = lcm(m, n) and s = f*K/n - e0*K/m: d/c = (y/x) * zeta_K^s is a
-    # root of unity iff x == y, and zeta_K^s lies in mu_L iff K | s*L.
-    # Otherwise d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose
-    # roots of unity are mu_lcm(2, N).  So a zeta_L^e equal to d/c lies in
-    # mu_g, g = gcd(L, lcm(2, N)), and is zeta_g^t for e = t*L/g with t < g.
-    if c == d:
-        return 0
-    mono, other = _monomial(c), _monomial(d)
-    if mono and other:
-        (x, m, e0), (y, n, f) = mono, other
-        K = lcm(m, n)
-        s = (f * (K // n) - e0 * (K // m)) % K
-        return s * L // K % L if x == y and s * L % K == 0 else None
-    g = gcd(L, lcm(2, c.order, d.order))
-    for t in range(1, g):
-        if c * _zeta_pow(g, t) == d:
-            return t * (L // g)
-    return None
 
 
 def _witness(module: FormalModule, s: Fraction, p: int) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -115,7 +115,7 @@ def _zeta_power_coords(order: int, e: int) -> tuple[Fraction, ...]:
 def _map_powers(order: int, coords: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
     # Coords in the order-`order` field of sum_i coords[i] * zeta_order**(i*k).
     # With k = order/d this embeds an element of Q(zeta_d); with k a unit mod
-    # `order` it applies the Galois automorphism sigma_k.  Either way k = 1
+    # `order` it applies sigma_k, as CycloRat.galois does.  Either way k = 1
     # means coords already live in the order-`order` field: the identity.
     if k == 1:
         return tuple(coords)
@@ -183,11 +183,11 @@ def _demote_cached(order: int, coords: tuple[Fraction, ...]):
     return order, coords
 
 
-def _hash_once(self) -> int:
-    # The hash of the constructor arguments that __reduce__ rebuilds the
-    # value from, computed on the first call and kept in the `_hash` slot or
-    # attribute: canonical values are cache keys and are hashed again on
-    # every lookup.
+def hash_once(self) -> int:
+    """The hash of the constructor arguments that __reduce__ rebuilds the
+    value from, computed on the first call and kept in the `_hash` slot or
+    attribute: canonical values are cache keys and are hashed again on
+    every lookup."""
     try:
         return self._hash
     except AttributeError:
@@ -285,7 +285,7 @@ class CycloRat:
             return CycloRat(self.order, coords, _canonical=True)
         if self.order == 1:
             return other + self
-        order = _lcm(self.order, other.order)
+        order = lcm(self.order, other.order)
         coords = tuple(a + b for a, b in zip(
             _map_powers(order, self.coords, order // self.order),
             _map_powers(order, other.coords, order // other.order)))
@@ -324,7 +324,7 @@ class CycloRat:
                             _canonical=True)
         if self.order == 1:
             return other * self
-        order = _lcm(self.order, other.order)
+        order = lcm(self.order, other.order)
         a = _map_powers(order, self.coords, order // self.order)
         b = _map_powers(order, other.coords, order // other.order)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -342,14 +342,22 @@ class CycloRat:
     def inverse(self) -> "CycloRat":
         """1/self = others/norm: `others` is the product of the Galois
         conjugates sigma_k(self) for the units k != 1 mod the order, and
-        the norm self*others is a nonzero rational.  A conjugate generates
-        the same field as self, so it is canonical as built."""
+        the norm self*others is a nonzero rational."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         n = self.order
-        others = reduce(mul, (CycloRat(n, _map_powers(n, self.coords, k), _canonical=True)
-                              for k in range(2, n) if gcd(k, n) == 1), _ONE)
+        others = reduce(mul, (self.galois(k) for k in range(2, n) if gcd(k, n) == 1), _ONE)
         return others * (1 / (self * others).coords[0])
+
+    def galois(self, k: int) -> "CycloRat":
+        """sigma_k(self), which sends zeta(order) to zeta(order)**k, for a
+        unit k mod the order.  A conjugate generates the same field as self,
+        so it is canonical as built.  A non-unit k is refused: the same power
+        map would embed a subfield instead."""
+        n = self.order
+        if gcd(k, n) != 1:
+            raise ValueError(f"sigma_k needs a unit k mod {n}, got {k}")
+        return CycloRat(n, _map_powers(n, self.coords, k % n), _canonical=True)
 
     # -- comparison & hashing -------------------------------------------------
 
@@ -359,7 +367,7 @@ class CycloRat:
             return NotImplemented
         return self.order == other.order and self.coords == other.coords
 
-    __hash__ = _hash_once
+    __hash__ = hash_once
 
     # -- rendering -------------------------------------------------------------
 
@@ -422,8 +430,115 @@ def _monomial(c: CycloRat) -> Optional[tuple[Fraction, int, int]]:
     return (x, c.order, e) if x > 0 else (-x, 2 * c.order, 2 * e + c.order)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def least_rotation(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
+    """The residue r in `residues` that minimizes (c * zeta_ram^r).sort_key(),
+    by root-of-unity logs when c is monomial, otherwise by the orders of the
+    products first.
+
+    A monomial coefficient c = x * zeta_m^e, x a positive rational, is
+    compared without the product: c * zeta_ram^r = x * zeta_M^t with
+    M = lcm(m, ram) and t = e*M/m + r*M/ram (mod M).  Scaling by x > 0
+    keeps the least field and the order of the coordinates, so the
+    residues compare as the keys of zeta_M^t do.  Distinct r give distinct
+    t mod M, hence distinct roots and no ties.  Only rational c and c with
+    one nonzero coordinate are read as monomials (see _monomial).
+
+    Any other c, of least order m, is compared first by the order of each
+    x_t = c * zeta_M^t, t = r*M/ram, since a sort key leads with it, and
+    those orders come from Galois logs in integers (_orbit_orders).  The
+    descent from Q(zeta_n) to Q(zeta_q), q = n/p, runs as _demote's does.
+    For p = 2 and q odd the two fields are one.  If m does not divide
+    lcm(q, ram), no x_t lies in Q(zeta_q), because c = x_t * zeta_ram^-r
+    would then lie in Q(zeta_lcm(q, ram)); so that prime stops with no
+    field work.  Otherwise Gal(Q(zeta_n)/Q(zeta_q)) is cyclic, generated
+    by sigma_a for a unit a = 1 (mod q), and x_t, already in Q(zeta_n),
+    lies in Q(zeta_q) iff sigma_a fixes it: sigma_a(c) = c * zeta_M^(t(1-a)).
+    As q | 1 - a, that root lies in mu_(M/q), so one log lam of sigma_a(c)
+    against c modulo M/q (root_log, no division) decides every residue:
+    x_t descends iff lam = t(1-a)/q (mod M/q).  Only the residues that tie
+    on the least order are built as products, and a lone one is not built.
+    A root of unity spread over many coordinates, such as
+    zeta(2003)^2002, takes this route too: its orbit mostly stays in
+    large fields, so only the few residues in its own field are built.
+    """
+    mono = _monomial(c)
+    if mono is None:
+        orders = _orbit_orders(c, ram, residues)
+        least = min(orders.values())
+        ties = [r for r, n in orders.items() if n == least]
+        if len(ties) == 1:
+            return ties[0]
+        return min(ties, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
+    _, m, e = mono
+    M = lcm(m, ram)
+    return min(residues,
+               key=lambda r: _zeta_pow(M, e * (M // m) + r * (M // ram)).sort_key())
+
+
+def _orbit_orders(c: CycloRat, ram: int, residues: Iterable[int]) -> dict[int, int]:
+    # The order of the least field of c * zeta_ram^r for each residue r,
+    # with one Galois log per descent step (p, q), shared by the residues,
+    # and no product (see least_rotation).
+    m = c.order
+    M = lcm(m, ram)
+    primes = _prime_factors(M)
+    steps: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+    orders = {}
+    for r in residues:
+        t, n = r * (M // ram), M
+        for p in primes:
+            while n % p == 0:
+                q = n // p
+                if p == 2 and q % 2:
+                    n = q
+                    continue
+                if lcm(q, ram) % m:
+                    break
+                if (p, q) not in steps:
+                    a = _kernel_generator(p, q, M)
+                    steps[p, q] = a, root_log(c, c.galois(a), M // q)
+                a, lam = steps[p, q]
+                if lam is None or (lam - t * (1 - a) // q) % (M // q):
+                    break
+                n = q
+        orders[r] = n
+    return orders
+
+
+def _kernel_generator(p: int, q: int, M: int) -> int:
+    # A unit a mod M, a = 1 (mod q), whose class generates the kernel of
+    # (Z/pq)* -> (Z/q)*: 1 + q when p | q, else a primitive root mod p.
+    a = 1 + q
+    if q % p:
+        g = next(g for g in range(2, p)
+                 if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)))
+        a = 1 + q * ((g - 1) * pow(q, -1, p) % p)
+    return next(b for b in range(a, M, p * q) if gcd(b, M) == 1)
+
+
+def root_log(c: CycloRat, d: CycloRat, L: int) -> Optional[int]:
+    """The e in [0, L) with c * zeta_L^e = d, or None if there is none.
+
+    For monomials c = x * zeta_m^e0 and d = y * zeta_n^f (x, y > 0),
+    K = lcm(m, n) and s = f*K/n - e0*K/m: d/c = (y/x) * zeta_K^s is a
+    root of unity iff x == y, and zeta_K^s lies in mu_L iff K | s*L.
+    Otherwise d/c lies in Q(zeta_N), N = lcm(c.order, d.order), whose
+    roots of unity are mu_lcm(2, N).  So a zeta_L^e equal to d/c lies in
+    mu_g, g = gcd(L, lcm(2, N)), and is zeta_g^t for e = t*L/g with t < g.
+    """
+    if c == d:
+        return 0
+    mono, other = _monomial(c), _monomial(d)
+    if mono and other:
+        (x, m, e0), (y, n, f) = mono, other
+        K = lcm(m, n)
+        s = (f * (K // n) - e0 * (K // m)) % K
+        return s * L // K % L if x == y and s * L % K == 0 else None
+    g = gcd(L, lcm(2, c.order, d.order))
+    for t in range(1, g):
+        if c * _zeta_pow(g, t) == d:
+            return t * (L // g)
+    return None
 
 
 _ZERO = CycloRat(1, (Fraction(0),), _canonical=True)
@@ -505,9 +620,6 @@ class RamifiedExponent:
             {k * scale: c * _zeta_pow(order, (j * k) % order)
              for k, c in self.terms})
 
-    def __neg__(self):
-        return RamifiedExponent(self.ram, {k: -c for k, c in self.terms})
-
     def sort_key(self):
         return tuple((k, c.sort_key()) for k, c in self.terms)
 
@@ -516,7 +628,7 @@ class RamifiedExponent:
             return NotImplemented
         return self.ram == other.ram and self.terms == other.terms
 
-    __hash__ = _hash_once
+    __hash__ = hash_once
 
     def __repr__(self):
         if self.is_zero:

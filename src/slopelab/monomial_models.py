@@ -72,10 +72,6 @@ class GoodModel:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
-
     @cached_property
     def pole_max(self) -> tuple[int, ...]:
         """Per-coordinate maximum of the factors' pole orders, 0 where none

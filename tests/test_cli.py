@@ -52,6 +52,15 @@ def test_nearby_command(capsys):
     assert "3/2" in out
 
 
+def test_nearby_json_without_cert(capsys):
+    code, out, _ = run(capsys, "nearby", "-e", "El(2,u^-3,rank=1) + Reg(rank=1)",
+                       "-p", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "nearby", "expr": "Reg(rank=1) + El(2, -u^-3, rank=1)",
+        "nearby_slopes": ["0", "3/4"], "p": 2, "schema": "1"}
+
+
 def test_nearby_cert_json(capsys):
     code, out, _ = run(capsys, "nearby", "-e", "El(1,u^-2,rank=1)", "-p", "1",
                        "--cert", "--ram-bound", "4", "--ord-bound", "6", "--json")
@@ -203,6 +212,21 @@ def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script.write_text(json.dumps(_document({**_SCRIPT, "steps": []}, fields)))
     code, _, err = run(capsys, "blowup", "-s", str(script), "--verify")
     assert_clean_error(code, err, *words)
+
+
+# The refusals of the starting configuration, each reached from a script.
+@pytest.mark.parametrize("fields, message", [
+    ({"mode": "polar"}, "mode must be 'toric' or 'abstract', got 'polar'"),
+    ({"dim": 0, "Z": {"a": []}, "S": {"r": []}}, "dimension must be >= 1, got 0"),
+    ({"Z": {"a": [1]}}, "Z and S multiplicity vectors must have length dim"),
+    ({"Z": {"a": [1, -1]}}, "multiplicities must be nonnegative"),
+    ({"Z": {"a": [0, 0]}}, "Z must be a nonempty divisor (some a_i > 0)"),
+], ids=["mode", "dim", "length", "negative", "Z-zero"])
+def test_blowup_initial_state_refusals_exit_1(tmp_path, capsys, fields, message):
+    script = tmp_path / "s.blowup"
+    script.write_text(json.dumps({**_SCRIPT, "steps": [], **fields}))
+    code, _, err = run(capsys, "blowup", "-s", str(script), "--verify")
+    assert_clean_error(code, err, message)
 
 
 # Each case overrides fields of a one-factor model; explicit ids keep the

@@ -32,10 +32,11 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import (_galois_canonical, _least_residue, _orbit_orders,
-                                 _root_log)
+from slopelab import exact_algebra
+from slopelab.elementary import _galois_canonical
 from slopelab.errors import FalsificationError
-from slopelab.exact_algebra import CycloRat, RamifiedExponent, _monomial
+from slopelab.exact_algebra import (CycloRat, RamifiedExponent, _monomial, _orbit_orders,
+                                    least_rotation, root_log)
 from slopelab.expr import module_to_expr, parse_and_eval
 from slopelab.randomgen import random_formal_module
 from slopelab.selftest import check_pullback_pushforward, check_tensor
@@ -101,7 +102,7 @@ def test_monomial_decomposition_matches_the_brute_force_search():
     # c = x * zeta_m^e against the search over every root of unity of c's
     # field, mu_lcm(2, n): rational and one-coordinate c are decomposed, and
     # every other c, monomial or not, is left to the Galois logs.  The residue
-    # _least_residue picks is checked against the products at every
+    # least_rotation picks is checked against the products at every
     # ramification up to 36, so the logs run modulo lcm(n, ram) up to 1260.
     rng = random.Random(59)
     z = CycloRat.zeta
@@ -129,13 +130,13 @@ def test_monomial_decomposition_matches_the_brute_force_search():
             outcomes["by logs"] += 1
         ram = rng.randint(2, 36)
         residues = rng.sample(range(ram), rng.randint(1, min(ram, 8)))
-        assert _least_residue(c, ram, residues) == min(
+        assert least_rotation(c, ram, residues) == min(
             residues, key=lambda r: (c * z(ram, r)).sort_key()), (c, ram)
     assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_orbit_orders_match_the_product_path(monkeypatch):
-    # Oracle for the Galois-log route of _least_residue: the order of every
+    # Oracle for the Galois-log route of least_rotation: the order of every
     # product c * zeta_ram^r, and the least residue, at every ram <= 36.  The
     # coefficients are sums, none of them monomial to _monomial; 1 + zeta(3)
     # is the root of unity -zeta(3)^2, and zeta(3)*(1 + zeta(4)) has
@@ -150,7 +151,7 @@ def test_orbit_orders_match_the_product_path(monkeypatch):
         products = [c * z(ram, r) for r in range(ram)]
         assert _orbit_orders(c, ram, range(ram)) == {
             r: x.order for r, x in enumerate(products)}, (c, ram)
-        assert _least_residue(c, ram, range(ram)) == min(
+        assert least_rotation(c, ram, range(ram)) == min(
             range(ram), key=lambda r: products[r].sort_key()), (c, ram)
         left += any(x.order < c.order for x in products)
     assert left >= 3
@@ -163,15 +164,15 @@ def test_orbit_orders_match_the_product_path(monkeypatch):
         raise AssertionError("field work past the skip rule")
 
     with monkeypatch.context() as patch:
-        patch.setattr(_ELEMENTARY, "_map_powers", refuse)
-        patch.setattr(_ELEMENTARY, "_root_log", refuse)
+        patch.setattr(exact_algebra, "_map_powers", refuse)
+        patch.setattr(exact_algebra, "root_log", refuse)
         assert _orbit_orders(c, 2, range(2)) == {0: 2003, 1: 2003}
-    assert _least_residue(c, 2, range(2)) == min(
+    assert least_rotation(c, 2, range(2)) == min(
         range(2), key=lambda r: (c * z(2, r)).sort_key()) == 1
 
 
 def test_monomial_root_logs_match_the_equality_search(monkeypatch):
-    # The closed form of _root_log for monomials c = x * zeta_m^e and
+    # The closed form of root_log for monomials c = x * zeta_m^e and
     # d = y * zeta_n^f against the search over every zeta_L^e by equality,
     # on seeded pairs: rational ones, negative x (folded into a root of
     # order 2m), roots of unity outside mu_L (K does not divide s*L) and
@@ -204,7 +205,7 @@ def test_monomial_root_logs_match_the_equality_search(monkeypatch):
     monkeypatch.setattr(CycloRat, "__rmul__", refuse)
     outcomes = {"found": 0, "outside mu_L": 0, "x != y": 0, "rational": 0, "negative": 0}
     for c, d, L, expected in cases:
-        assert _root_log(c, d, L) == expected, (c, d, L)
+        assert root_log(c, d, L) == expected, (c, d, L)
         (x, m, e), (y, n, f) = _monomial(c), _monomial(d)
         K = lcm(m, n)
         s = (f * (K // n) - e * (K // m)) % K
@@ -611,7 +612,7 @@ def test_root_log_matches_the_brute_force_search(monkeypatch):
     # The discrete log of each coefficient ratio -d/c, the target -d, against
     # the search over every zeta_L^e, e < L; -zeta(3) and -zeta(5) lie in
     # mu_L only for even L, and 2 and (1 + zeta(4))/zeta(3) in none.  The
-    # oracle divides once per pair up front; _root_log itself runs with
+    # oracle divides once per pair up front; root_log itself runs with
     # division refused.
     z3, z4, z5 = CycloRat.zeta(3), CycloRat.zeta(4), CycloRat.zeta(5)
     values = [CycloRat.from_rational(x) for x in (1, -1, 2)] + [
@@ -622,12 +623,12 @@ def test_root_log_matches_the_brute_force_search(monkeypatch):
     for (c, target), rho in ratios.items():
         for L in range(1, 41):
             logs = [e for e in range(L) if CycloRat.zeta(L, e) == rho]
-            assert _root_log(c, target, L) == (logs[0] if logs else None), (c, target, L)
+            assert root_log(c, target, L) == (logs[0] if logs else None), (c, target, L)
             found += bool(logs)
     assert 0 < found < 121 * 40 // 2
     # A ratio from a field whose roots of unity miss mu_L: the search runs
     # over mu_gcd(6, 14) = {1, -1} only.
-    assert _root_log(CycloRat.from_rational(1), CycloRat.zeta(7), 6) is None
+    assert root_log(CycloRat.from_rational(1), CycloRat.zeta(7), 6) is None
 
 
 def test_witness_checks_negate_no_coefficient(monkeypatch):

@@ -206,6 +206,35 @@ def test_inverse_in_the_least_field():
         CycloRat.from_rational(0).inverse()
 
 
+def test_galois_conjugates_are_field_automorphisms():
+    # sigma_k against its definition, sum_i coords[i] * zeta_n^(i*k), built
+    # by arithmetic, on seeded elements of least field Q(zeta_n): it stays in
+    # that field, composes as sigma_j sigma_k = sigma_jk, commutes with
+    # inverse, and the product of all conjugates is the rational norm.
+    rng = random.Random(37)
+    for n in (5, 8, 12, 15):
+        units = [k for k in range(1, n) if gcd(k, n) == 1]
+        a = CycloRat(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(euler_phi(n))])
+        a = a if a.order == n else a + CycloRat.zeta(n)
+        assert a.order == n
+        conjugates = {k: a.galois(k) for k in units}
+        for k, s in conjugates.items():
+            assert s == sum((x * CycloRat.zeta(n, i * k) for i, x in enumerate(a.coords)),
+                            CycloRat.from_rational(0)), (a, k)
+            assert s.order == n and s.inverse() == a.inverse().galois(k), (a, k)
+            assert all(s.galois(j) == conjugates[j * k % n] for j in units), (a, k)
+        assert conjugates[1] == a
+        assert reduce(mul, conjugates.values()).order == 1
+
+
+def test_galois_refuses_a_non_unit():
+    # A power map by a non-unit would embed a subfield, not conjugate.
+    for n, k in ((12, 2), (5, 5), (8, 0), (15, 6)):
+        with pytest.raises(ValueError, match="unit"):
+            (1 + CycloRat.zeta(n)).galois(k)
+
+
 # ---------------------------------------------------------------------------
 # CycloRat: randomized exact field axioms.
 # ---------------------------------------------------------------------------
