@@ -21,8 +21,10 @@ and vS(P) = sum_C w(C) vS(C).  The two modes differ only in how w is given:
 The key inequality vS(E) <= deg(S) * vZ(E) is asserted on every step via the
 three-line estimate that drives the induction; a violation raises
 FalsificationError and is surfaced loudly, never silently.  Each component is
-also its row of the inequality report, built once.  Rows never change, so one
-check of the final rows is the check after every step.
+also its row of the inequality report, its bound and margin derived from vZ,
+vS and deg S.  Rows never change, so one check of the final rows is the check
+after every step.  Every check compares integers: S's multiplicities times
+den > 0, the lcm of its r_i's denominators; values print as reduced Fractions.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from slopelab.errors import (FalsificationError, ScriptError, json_field, json_int,
@@ -44,7 +46,7 @@ class ComponentKind(Enum):
     EXCEPTIONAL = "exceptional"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Component:
     """A divisor component with its multiplicities in the two pullbacks.
 
@@ -53,25 +55,42 @@ class Component:
     component may also carry a positive S-multiplicity (Z and S can share
     components).  A component is its own row of the inequality report, with
     bound = deg(S) * vZ and margin = bound - vS; only rows over Z are checked.
+    They are derived from nS = den * vS and ndeg = den * deg(S), integers over
+    S's common denominator den, and read as Fractions; so are == and hash.
     """
 
     id: str
     kind: ComponentKind
     ray: Optional[tuple[int, ...]]
     vZ: int
-    vS: Fraction
-    bound: Fraction
-    margin: Fraction
+    nS: int
+    ndeg: int
+    den: int
 
     @property
     def checked(self) -> bool:
         return self.vZ > 0
 
+    @property
+    def vS(self) -> Fraction:
+        return Fraction(self.nS, self.den)
 
-def _component(id: str, kind: ComponentKind, ray: Optional[tuple[int, ...]],
-               vZ: int, vS: Fraction, degS: Fraction) -> Component:
-    bound = degS * vZ
-    return Component(id, kind, ray, vZ, vS, bound, bound - vS)
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(self.ndeg * self.vZ, self.den)
+
+    @property
+    def margin(self) -> Fraction:
+        return Fraction(self.ndeg * self.vZ - self.nS, self.den)
+
+    def _values(self) -> tuple:
+        return self.id, self.kind, self.ray, self.vZ, self.vS, self.bound
+
+    def __eq__(self, other):
+        return isinstance(other, Component) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 @dataclass(frozen=True)
@@ -163,12 +182,14 @@ def initial_state(dim: int, z_mult: Sequence[int], s_mult: Sequence,
         raise ScriptError("multiplicities must be nonnegative")
     if not any(a):
         raise ScriptError("Z must be a nonempty divisor (some a_i > 0)")
-    degS = sum(r, Fraction(0))
+    den = lcm(*(v.denominator for v in r))
+    s_num = [v.numerator * (den // v.denominator) for v in r]
+    degS = Fraction(sum(s_num), den)
     comps = []
     for i in range(dim):
         ray = tuple(1 if j == i else 0 for j in range(dim)) if mode == "toric" else None
         kind = ComponentKind.STRICT_Z if a[i] > 0 else ComponentKind.STRICT_S
-        comps.append(_component(f"D{i + 1}", kind, ray, a[i], r[i], degS))
+        comps.append(Component(f"D{i + 1}", kind, ray, a[i], s_num[i], sum(s_num), den))
     fan = None
     if mode == "toric":
         fan = Fan(tuple(c.ray for c in comps), (frozenset(range(dim)),))
@@ -179,22 +200,20 @@ def initial_state(dim: int, z_mult: Sequence[int], s_mult: Sequence,
 # The update rule.
 # ---------------------------------------------------------------------------
 
-def _check_induction_chain(state: BlowupState, weighted_alpha: Fraction,
-                           s_incidence: Fraction, eps_vZ: Fraction,
-                           eps_vS: Fraction) -> None:
-    # The three-line estimate behind the induction, asserted verbatim:
+def _check_induction_chain(ndeg: int, den: int, weighted_alpha: int,
+                           s_incidence: int, eps_vZ: int, eps_vS: int) -> None:
+    # The three-line estimate behind the induction, asserted verbatim times den:
     #   degS*(sum a_i alpha_i + sum eps_E vZ(E)) >= degS + degS*sum eps_E vZ(E)
     #                                            >= sum r_j eps_j + degS*sum eps_E vZ(E)
     #                                            >= sum r_j eps_j + sum eps_E vS(E)
-    degS = state.degS
-    lhs = degS * (weighted_alpha + eps_vZ)
-    mid1 = degS + degS * eps_vZ
-    mid2 = s_incidence + degS * eps_vZ
+    lhs = ndeg * (weighted_alpha + eps_vZ)
+    mid1 = ndeg + ndeg * eps_vZ
+    mid2 = s_incidence + ndeg * eps_vZ
     rhs = s_incidence + eps_vS
     if not (lhs >= mid1 >= mid2 >= rhs):
-        raise FalsificationError(
-            f"induction chain failed: {lhs} >= {mid1} >= {mid2} >= {rhs} "
-            f"(degS={degS})")
+        terms = " >= ".join(str(Fraction(t, den)) for t in (lhs, mid1, mid2, rhs))
+        raise FalsificationError(f"induction chain failed: {terms} "
+                                 f"(degS={Fraction(ndeg, den)})")
 
 
 def _center_incidence(state: BlowupState, ids: Sequence[str]) -> list[int]:
@@ -212,35 +231,28 @@ def _center_incidence(state: BlowupState, ids: Sequence[str]) -> list[int]:
 
 def _abstract_incidence(state: BlowupState, step: BlowupStep) -> list[int]:
     # The script lists the incidences kind by kind; spread them back over
-    # the components in order.  Missing eps lists default to zeros.
-    kinds = [c.kind for c in state.components]
-    counts = {kind: kinds.count(kind) for kind in ComponentKind}
+    # the components in order: the dim strict ones (Z or S), then the
+    # exceptional ones.  Missing eps lists default to zeros.
+    over_z = [c.kind is ComponentKind.STRICT_Z for c in state.components[:state.dim]]
+    n_z = sum(over_z)
+    n_s, n_e = state.dim - n_z, state.steps_applied
     alpha = tuple(step.alpha or ())
-    epsS = step.epsS if step.epsS is not None else (0,) * counts[ComponentKind.STRICT_S]
-    epsE = (step.epsE if step.epsE is not None
-            else (0,) * counts[ComponentKind.EXCEPTIONAL])
-    for name, given, kind, what in (
-            ("alpha", alpha, ComponentKind.STRICT_Z, "one incidence per strict-Z"),
-            ("epsS", epsS, ComponentKind.STRICT_S, "one flag per strict-S"),
-            ("epsE", epsE, ComponentKind.EXCEPTIONAL, "one flag per exceptional")):
-        if len(given) != counts[kind]:
+    epsS = step.epsS if step.epsS is not None else (0,) * n_s
+    epsE = step.epsE if step.epsE is not None else (0,) * n_e
+    for name, given, count, what in (
+            ("alpha", alpha, n_z, "one incidence per strict-Z"),
+            ("epsS", epsS, n_s, "one flag per strict-S"),
+            ("epsE", epsE, n_e, "one flag per exceptional")):
+        if len(given) != count:
             raise ScriptError(
                 f"{name} must list {what} component "
-                f"({counts[kind]} expected, {len(given)} given)")
+                f"({count} expected, {len(given)} given)")
     if any(a < 0 for a in alpha):
         raise ScriptError("alpha incidences must be nonnegative integers")
     if any(e not in (0, 1) for e in epsS) or any(e not in (0, 1) for e in epsE):
         raise ScriptError("eps incidences must lie in {0, 1}")
-    by_kind = {ComponentKind.STRICT_Z: iter(alpha),
-               ComponentKind.STRICT_S: iter(epsS),
-               ComponentKind.EXCEPTIONAL: iter(epsE)}
-    return [next(by_kind[kind]) for kind in kinds]
-
-
-def _weighted(met: Sequence[tuple[Component, int]]) -> tuple[int, Fraction]:
-    # sum w(C) vZ(C) and sum w(C) vS(C) over (component, incidence) pairs.
-    return (sum(w * c.vZ for c, w in met),
-            sum((w * c.vS for c, w in met), Fraction(0)))
+    alphas, flags = iter(alpha), iter(epsS)
+    return [next(alphas) if z else next(flags) for z in over_z] + list(epsE)
 
 
 def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
@@ -272,16 +284,18 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
     # Only an alpha can exceed 1, and a strict-Z component that also
     # carries S must be met at most once.
     for c, w in met:
-        if w > 1 and c.vS > 0:
+        if w > 1 and c.nS > 0:
             raise ScriptError(
                 f"component {c.id} also carries S: its incidence must be "
                 f"0 or 1, got {w}")
 
-    # The weighted sum, split at the exceptional components for the chain.
-    weighted_alpha, s_incidence = _weighted(
-        [(c, w) for c, w in met if c.kind is not ComponentKind.EXCEPTIONAL])
-    eps_vZ, eps_vS = _weighted(
-        [(c, w) for c, w in met if c.kind is ComponentKind.EXCEPTIONAL])
+    # The weighted sums (S's times den), split for the chain at the
+    # exceptional components, which follow the dim strict ones D1..Dn.
+    d, ndeg, den = state.dim, state.components[0].ndeg, state.components[0].den
+    wZ = [w * c.vZ for c, w in zip(state.components, weights)]
+    wS = [w * c.nS for c, w in zip(state.components, weights)]
+    weighted_alpha, eps_vZ = sum(wZ[:d]), sum(wZ[d:])
+    s_incidence, eps_vS = sum(wS[:d]), sum(wS[d:])
     vZ_new, vS_new = weighted_alpha + eps_vZ, s_incidence + eps_vS
 
     fan, new_ray = state.fan, None
@@ -300,20 +314,19 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
                 "current fan (condition (iii))")
         fan, new_ray = fan.star_subdivide(indices)
         # Valuation linearity: the new ray's multiplicities must equal the
-        # pairing of the ray with the original multiplicity vectors.
+        # pairing of the ray with the original multiplicities (D1..Dn's).
         pair_z = sum(n * m for n, m in zip(new_ray, state.z_vector))
-        pair_s = sum((Fraction(n) * m for n, m in zip(new_ray, state.s_vector)),
-                     Fraction(0))
+        pair_s = sum(n * c.nS for n, c in zip(new_ray, state.components))
         if pair_z != vZ_new or pair_s != vS_new:
             raise FalsificationError(
                 f"toric valuation pairing disagrees with the recursion: "
-                f"ray {new_ray} gives ({pair_z}, {pair_s}), recursion gives "
-                f"({vZ_new}, {vS_new})")
+                f"ray {new_ray} gives ({pair_z}, {Fraction(pair_s, den)}), "
+                f"recursion gives ({vZ_new}, {Fraction(vS_new, den)})")
 
-    _check_induction_chain(state, weighted_alpha, s_incidence, eps_vZ, eps_vS)
+    _check_induction_chain(ndeg, den, weighted_alpha, s_incidence, eps_vZ, eps_vS)
 
-    new_comp = _component(f"E{state.steps_applied + 1}", ComponentKind.EXCEPTIONAL,
-                          new_ray, vZ_new, vS_new, state.degS)
+    new_comp = Component(f"E{state.steps_applied + 1}", ComponentKind.EXCEPTIONAL,
+                         new_ray, vZ_new, vS_new, ndeg, den)
     return BlowupState(state.mode, state.dim, state.components + (new_comp,),
                        state.degS, state.z_vector, state.s_vector, fan)
 
@@ -323,13 +336,13 @@ def verify_inequality(state: BlowupState) -> InequalityReport:
 
     The rows are the components themselves.  Components with vZ = 0 are
     reported but not checked (they do not lie over the zero locus).  The
-    check reads each row's own margin, not the induction estimate that
-    blow_up asserted; any violation would falsify the engine's bookkeeping
-    and is listed explicitly.
+    check reads each row's own margin, in integers times den, not the
+    induction estimate that blow_up asserted; any violation would falsify
+    the engine's bookkeeping and is listed explicitly.
     """
     return InequalityReport(state.degS, state.components,
                             tuple(c.id for c in state.components
-                                  if c.checked and c.margin < 0))
+                                  if c.vZ > 0 and c.ndeg * c.vZ < c.nS))
 
 
 # ---------------------------------------------------------------------------

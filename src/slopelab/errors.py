@@ -1,6 +1,7 @@
 """Exception types shared across the engine."""
 
 import json
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -75,10 +76,11 @@ def json_field(value, key: str, field: str):
 
 
 def json_rat(value, field: str) -> Fraction:
-    """A rational field: a JSON integer or a "num/den" string.  A JSON
-    boolean or float, which Fraction() would take, and a string that is no
-    rational are refused naming the field."""
-    if isinstance(value, str):
+    """A rational field: a JSON integer or a "num/den" string (a sign, ASCII
+    digits and an optional /digits).  A JSON boolean or float, which
+    Fraction() would take, and any other string, such as "0.5" or "1e9", are
+    refused naming the field before Fraction() runs."""
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", value):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from slopelab import blowup
 from slopelab.blowup import (
     BlowupStep,
     ComponentKind,
+    Fan,
     blow_up,
     initial_state,
     replay,
@@ -20,8 +22,8 @@ from slopelab.blowup import (
     verify_inequality,
 )
 from slopelab.cli import main as cli_main
-from slopelab.errors import ScriptError
-from slopelab.randomgen import random_chain_script
+from slopelab.errors import FalsificationError, ScriptError
+from slopelab.randomgen import random_abstract_step, random_chain_script, random_toric_step
 from slopelab.selftest import check_blowup
 
 F = Fraction
@@ -353,3 +355,135 @@ def test_report_text_mentions_violations_loudly():
     text = report_to_text(verify_inequality(state))
     assert "inequality: OK" in text
     assert "E1" in text and "deg S = 5" in text
+
+
+# ---------------------------------------------------------------------------
+# Integer multiplicities over S's common denominator, and the checks on them.
+# ---------------------------------------------------------------------------
+
+MIXED = {"dim": 3, "mode": "toric", "Z": {"a": [1, 1, 0]},
+         "S": {"r": ["1/3", "1/4", "5/6"]},
+         "steps": [{"center": ["D1", "D2"]}, {"center": ["D1", "E1"]},
+                   {"center": ["D2", "D3", "E1"]}]}
+
+
+def _with_last_row(state, row):
+    return dataclasses.replace(state, components=state.components[:-1] + (row,))
+
+
+def test_mixed_denominator_script_prints_reduced_fractions(tmp_path, capsys):
+    path = tmp_path / "mixed.blowup"
+    path.write_text(json.dumps(MIXED))
+    assert cli_main(["blowup", "-s", str(path), "--verify"]) == 0
+    assert capsys.readouterr().out == (
+        'step 1: ok\n'
+        'step 2: ok\n'
+        'step 3: ok\n'
+        'deg S = 17/12\n'
+        'id    kind         ray              vZ       vS    bound   margin\n'
+        'D1    strict-Z     (1,0,0)           1      1/3    17/12    13/12\n'
+        'D2    strict-Z     (0,1,0)           1      1/4    17/12      7/6\n'
+        'D3    strict-S     (0,0,1)           0      5/6        0     -5/6  (not over Z)\n'
+        'E1    exceptional  (1,1,0)           2     7/12     17/6      9/4\n'
+        'E2    exceptional  (2,1,0)           3    11/12     17/4     10/3\n'
+        'E3    exceptional  (1,2,1)           3      5/3     17/4    31/12\n'
+        'inequality: OK\n'
+    )
+
+
+def test_rows_compare_by_value_whatever_the_denominator():
+    # D2 carries r = 1 and vZ = 0 in both states; S's common denominator is
+    # 2 in the first and 1 in the second.
+    halves = initial_state(2, [1, 0], [F(1, 2), 1]).components[1]
+    units = initial_state(2, [1, 0], [F(2), 1]).components[1]
+    assert halves.den != units.den
+    assert halves == units and hash(halves) == hash(units)
+    assert halves != initial_state(2, [1, 0], [F(1, 2), 2]).components[1]
+
+
+def test_rows_follow_the_fraction_rule_for_mixed_denominators():
+    # Oracle: each new row's vZ and vS as Fraction sums of w(C) vZ(C) and
+    # w(C) vS(C), with w read off the step kind by kind; bound, margin and
+    # the toric pairing recomputed from them.
+    rng = random.Random(59)
+    steps = 0
+    for i in range(200):
+        mode = "toric" if i % 2 else "abstract"
+        dim = rng.randint(2, 4)
+        a = [rng.randint(0, 3) for _ in range(dim)]
+        a[rng.randrange(dim)] = rng.randint(1, 3)
+        r = [F(rng.randint(0, 7), rng.choice((1, 2, 3, 4, 6))) for _ in range(dim)]
+        degS = sum(r, F(0))
+        state = initial_state(dim, a, r, mode)
+        values = list(zip(a, r))
+        for _ in range(rng.randint(1, 6)):
+            if mode == "toric":
+                step = random_toric_step(rng, state)
+                if step is None:
+                    break
+                w = [int(c.id in step.center) for c in state.components]
+            else:
+                step = random_abstract_step(rng, state)
+                given = {ComponentKind.STRICT_Z: iter(step.alpha),
+                         ComponentKind.STRICT_S: iter(step.epsS),
+                         ComponentKind.EXCEPTIONAL: iter(step.epsE)}
+                w = [next(given[c.kind]) for c in state.components]
+            state = blow_up(state, step)
+            values.append((sum(x * z for x, (z, _) in zip(w, values)),
+                           sum((x * v for x, (_, v) in zip(w, values)), F(0))))
+            assert len(state.components) == len(values)
+            for row, (vZ, vS) in zip(state.components, values):
+                assert (row.vZ, row.vS, row.bound, row.margin) == \
+                    (vZ, vS, degS * vZ, degS * vZ - vS), (a, r, row)
+                if mode == "toric":
+                    assert sum(n * z for n, z in zip(row.ray, a)) == vZ
+                    assert sum((n * v for n, v in zip(row.ray, r)), F(0)) == vS
+            assert verify_inequality(state).ok
+            assert (state.degS, state.s_vector) == (degS, tuple(r))
+            steps += 1
+    assert steps > 400
+
+
+def test_verify_lists_a_row_a_twelfth_over_its_bound():
+    # E3 has vZ = 3 and bound 17/4 over deg S = 17/12; one twelfth more vS
+    # puts its margin at -1/12, and the derived margin must show it.
+    state = replay(MIXED)
+    e3 = state.components[-1]
+    assert (e3.bound, e3.margin) == (F(17, 4), F(31, 12))
+    bad = dataclasses.replace(e3, nS=e3.ndeg * e3.vZ + 1)
+    assert (bad.vS, bad.bound, bad.margin) == (F(13, 3), F(17, 4), F(-1, 12))
+    report = verify_inequality(_with_last_row(state, bad))
+    assert report.violations == ("E3",) and not report.ok
+
+
+def test_the_induction_chain_fires_on_an_exceptional_row_above_its_bound():
+    # E1 (vZ 2, vS 5/4 over deg S = 5/4) pushed to vS = 11/4; a step that
+    # meets it breaks the chain's last line, sum eps_E vS(E) <= degS *
+    # sum eps_E vZ(E).
+    state = blow_up(initial_state(2, [1, 1], [F(1, 2), F(3, 4)], "abstract"),
+                    BlowupStep(alpha=(1, 1)))
+    e1 = state.components[-1]
+    state = _with_last_row(state, dataclasses.replace(e1, nS=e1.ndeg * e1.vZ + 1))
+    with pytest.raises(FalsificationError, match=re.escape(
+            "induction chain failed: 15/4 >= 15/4 >= 3 >= 13/4 (degS=5/4)")):
+        blow_up(state, BlowupStep(alpha=(1, 0), epsE=(1,)))
+
+
+def test_the_pairing_check_fires_on_a_wrong_ray(monkeypatch):
+    real = Fan.star_subdivide
+
+    def shifted(fan, indices):
+        new_fan, ray = real(fan, indices)
+        return new_fan, (ray[0] + 1,) + ray[1:]
+
+    monkeypatch.setattr(Fan, "star_subdivide", shifted)
+    state = initial_state(2, [1, 1], [F(1, 2), F(3, 4)], "toric")
+    with pytest.raises(FalsificationError, match=re.escape(
+            "ray (2, 1) gives (3, 7/4), recursion gives (2, 5/4)")):
+        blow_up(state, BlowupStep(center=("D1", "D2")))
+
+
+def test_star_subdivide_refuses_a_non_smooth_fan():
+    fan = Fan(((1, 0), (1, 2)), (frozenset({0, 1}),))
+    with pytest.raises(FalsificationError, match=re.escape("non-primitive ray (2, 2)")):
+        fan.star_subdivide(frozenset({0, 1}))

@@ -11,6 +11,7 @@ import random
 import sys
 import tempfile
 import traceback
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from slopelab.cli import main
 from slopelab.elementary import regular_module
+from slopelab.errors import json_rat
 from slopelab.expr import parse_and_eval
 from slopelab.monomial_models import model_to_dict
 from slopelab.randomgen import random_chain_script, random_formal_module, random_good_model
@@ -229,6 +231,27 @@ def test_blowup_initial_state_refusals_exit_1(tmp_path, capsys, fields, message)
     assert_clean_error(code, err, message)
 
 
+# A rational string is a sign, digits and an optional /digits.  Fraction()
+# also reads decimals, underscores and exponents: "1e10000000" cost seconds
+# of CPU, and "1e5000" printed "step 1: ok" before failing.  Each is refused
+# before any step or table is printed.
+@pytest.mark.parametrize("text", ["1e10000000", "1e5", "0.5", "1_0"])
+def test_blowup_refuses_other_numeric_strings_at_once(tmp_path, capsys, text):
+    script = tmp_path / "s.blowup"
+    script.write_text(json.dumps({**_SCRIPT, "S": {"r": [text, "1"]},
+                                  "steps": [{"center": ["D1", "D2"]}]}))
+    code, out, err = run(capsys, "blowup", "-s", str(script), "--verify")
+    assert out == ""
+    assert_clean_error(code, err, f"'S.r' entry must be an integer or a rational "
+                                  f"string, got \"{text}\"")
+
+
+def test_json_rat_reads_signed_fractions_and_integers():
+    assert json_rat(" -3/4 ", "'S.r' entry") == Fraction(-3, 4)
+    assert json_rat("7", "'S.r' entry") == 7
+    assert json_rat("+12/8", "'S.r' entry") == Fraction(3, 2)
+
+
 # Each case overrides fields of a one-factor model; explicit ids keep the
 # names of the first two cases stable.
 @pytest.mark.parametrize("fields, words", [
@@ -271,6 +294,9 @@ def test_blowup_initial_state_refusals_exit_1(tmp_path, capsys, fields, message)
     ({"factors": [{"twist": [0, 0]}]}, ("factor 0: the factor has no 'pole' field",)),
     ([{"dim": 2}], ("the model must be a JSON object, got [{\"dim\": 2}]",)),
     ("2", ("the model must be a JSON object, got \"2\"",)),
+    # Rational strings are a sign, digits and an optional /digits only.
+    ({"factors": [{"pole": [1, 0], "twist": ["1e5", "0"]}]},
+     ("factor 0", "'twist' entry", '"1e5"')),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
