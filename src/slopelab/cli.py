@@ -99,7 +99,7 @@ def _emit_json(payload: dict) -> None:
 def _parse_monomial(text: str, dim: int) -> MonomialFunction:
     entries = [0] * dim
     for token in text.replace(" ", "").split("*"):
-        match = re.fullmatch(r"x(\d+)(?:\^(\d+))?", token)
+        match = re.fullmatch(r"x([0-9]+)(?:\^([0-9]+))?", token)
         if not match:
             raise ScriptError(f"bad monomial token {token!r}; expected x<i>[^<e>]")
         index = int(match.group(1))
@@ -138,32 +138,32 @@ def _cmd_nearby(args) -> int:
     if args.p < 1:
         raise _UsageError("-p must be >= 1")
     module = parse_and_eval(args.expr)
-    if args.cert:
-        cert = certify_nearby_slopes(module, args.p, ram_bound=args.ram_bound,
-                                     ord_bound=args.ord_bound)
-        found = sorted(cert.slopes)
-        if args.json:
-            _emit_json({
-                "schema": SCHEMA, "command": "nearby", "p": args.p,
-                "expr": module_to_expr(module),
-                "nearby_slopes": [str(s) for s in found],
-                "certificate": {
-                    "ram_bound": cert.ram_bound,
-                    "ord_bound": cert.ord_bound,
-                    "members": [
-                        {"slope": str(w.slope),
-                         "witness": module_to_expr(w.twist),
-                         "psi_dim": w.psi_dimension}
-                        for w in cert.members],
-                    "nonmembers": [
-                        {"slope": str(rec.slope),
-                         "twists_checked": rec.twists_checked}
-                        for rec in cert.nonmembers],
-                },
-            })
-            return 0
-        print(f"nearby slopes along x^{args.p}: "
-              + (", ".join(map(str, found)) or "(empty)"))
+    cert = (certify_nearby_slopes(module, args.p, ram_bound=args.ram_bound,
+                                  ord_bound=args.ord_bound) if args.cert else None)
+    found = sorted(cert.slopes if cert else nearby_slopes(module, args.p))
+    if args.json:
+        payload = {"schema": SCHEMA, "command": "nearby", "p": args.p,
+                   "expr": module_to_expr(module),
+                   "nearby_slopes": [str(s) for s in found]}
+        if cert:
+            payload["certificate"] = {
+                "ram_bound": cert.ram_bound,
+                "ord_bound": cert.ord_bound,
+                "members": [
+                    {"slope": str(w.slope),
+                     "witness": module_to_expr(w.twist),
+                     "psi_dim": w.psi_dimension}
+                    for w in cert.members],
+                "nonmembers": [
+                    {"slope": str(rec.slope),
+                     "twists_checked": rec.twists_checked}
+                    for rec in cert.nonmembers],
+            }
+        _emit_json(payload)
+        return 0
+    print(f"nearby slopes along x^{args.p}: "
+          + (", ".join(map(str, found)) or "(empty)"))
+    if cert:
         for w in cert.members:
             print(f"  slope {w.slope}: witness {module_to_expr(w.twist)} "
                   f"gives nearby-cycle dimension {w.psi_dimension}")
@@ -171,17 +171,6 @@ def _cmd_nearby(args) -> int:
         print(f"  certified absent (ram <= {cert.ram_bound}, pole order <= "
               f"{cert.ord_bound}): {len(cert.nonmembers)} slopes, "
               f"{total} twists checked")
-        return 0
-    found = sorted(nearby_slopes(module, args.p))
-    if args.json:
-        _emit_json({
-            "schema": SCHEMA, "command": "nearby", "p": args.p,
-            "expr": module_to_expr(module),
-            "nearby_slopes": [str(s) for s in found],
-        })
-        return 0
-    print(f"nearby slopes along x^{args.p}: "
-          + (", ".join(map(str, found)) or "(empty)"))
     return 0
 
 

@@ -483,17 +483,22 @@ def _cancelling_pairs(a: ElementaryModule, rb: int, terms: tuple, p: int) -> int
     return count
 
 
-def _witness(module: FormalModule, s: Fraction, p: int) -> tuple:
-    # The witness twist of module slope s along x**p as a raw factor
-    # (ram, terms, rank): the first slope-s factor's own principal part, the
-    # part the twist cancels, on the degree-p*ram cover, neither gcd-reduced
-    # nor Galois-canonical, or the unit twist for s = 0.
-    if s == 0:
-        return 1, (), 1
+def _raw_witness(f: ElementaryModule, p: int) -> tuple:
+    # Factor f's witness twist along x**p as a raw (ram, terms, rank): f's own
+    # principal part, the part the twist cancels, on the degree-p*ram cover,
+    # or the unit twist for a regular f (a raw (p, (), 1) counts p conjugates).
+    return (1, (), 1) if f.is_regular else (p * f.ram, f.phi.terms, 1)
+
+
+def _slope_walk(module: FormalModule, p: int):
+    # (s/p, raw witness of the first slope-s factor) per distinct slope s of
+    # the module, in increasing order: FormalModule.of sorts factors slope
+    # first, so each slope's factors are adjacent.
+    last = None
     for f in module.factors:
-        if f.slope == s:
-            return p * f.ram, f.phi.terms, 1
-    raise ValueError(f"no factor of slope {s}")
+        if f.slope != last:
+            last = f.slope
+            yield last / p, _raw_witness(f, p)
 
 
 def _canonical_twist(raw: tuple) -> FormalModule:
@@ -506,42 +511,36 @@ def _canonical_twist(raw: tuple) -> FormalModule:
 def witness_twist(module: FormalModule, r: Fraction, p: int) -> FormalModule:
     """A slope-r/p twist N with psi_dim(tensor(module, pullback(p, N)), p) > 0.
 
-    Built by negating the principal part of a slope-r factor and pushing it
-    forward by p, in canonical form.  Raises ValueError when no factor has
-    slope r.
+    Read off the slope walk that nearby_slopes and certificates share: the
+    negated principal part of the first slope-r factor, pushed forward by p,
+    in canonical form.  Raises ValueError when no factor has slope r.
     """
     r = Fraction(r)
     if p < 1:
         raise ValueError(f"twist degree must be >= 1, got {p}")
-    if r <= 0:
-        raise ValueError(f"no factor of slope {r}")
-    return _canonical_twist(_witness(module, r, p))
+    for near, raw in _slope_walk(module, p):
+        if r > 0 and near * p == r:
+            return _canonical_twist(raw)
+    raise ValueError(f"no factor of slope {r}")
 
 
 def nearby_slopes(module: FormalModule, p: int, *, verify: bool = True) -> set[Fraction]:
     """Nearby slopes of `module` along f = x**p.
 
-    The set is {r/p : r a positive slope of the module}, plus 0 exactly when
-    the regular part is nonzero.  With verify=True (the default) every
-    member is confirmed through the twisted-vanishing equivalence: the
-    witness twist, the negated principal part of a slope-r*p factor on the
-    degree-p*ram cover, is measured raw, neither gcd-reduced nor
-    canonicalized nor negated (the kernel of psi_dim_twisted reads the
-    factor's own principal part as the part to cancel), and its nearby-cycle
-    dimension, read off cancellation counts, checked positive.
+    One walk over the slope-sorted factors gives {s/p : s a slope of the
+    module}, so 0 is a member exactly when the regular part is nonzero.  With
+    verify=True (the default) each member r is confirmed by the walk's
+    witness twist, the negated principal part of the first slope-r*p factor
+    on the degree-p*ram cover, measured raw (neither gcd-reduced nor
+    canonicalized nor negated: the kernel of psi_dim_twisted reads the
+    factor's own principal part as the part to cancel); its nearby-cycle
+    dimension, read off cancellation counts, must be positive.
     """
     if p < 1:
         raise ValueError(f"nearby slopes need p >= 1, got {p}")
-    out: set[Fraction] = set()
-    for s in slopes(module):
-        if s > 0:
-            out.add(s / p)
-    if regular_rank(module) > 0:
-        out.add(Fraction(0))
     if verify:
-        for _ in _witnesses(module, p, out):
-            pass
-    return out
+        return {r for r, _, _ in _witnesses(module, p)}
+    return {r for r, _ in _slope_walk(module, p)}
 
 
 def _expr(module: FormalModule) -> str:
@@ -567,11 +566,10 @@ class WitnessRecord:
     psi_dimension: int
 
 
-def _witnesses(module: FormalModule, p: int, claimed: Iterable[Fraction]):
-    # (r, raw witness, dimension) per claimed slope, in increasing order:
-    # the raw twist of _witness, measured by the kernel of psi_dim_twisted.
-    for r in sorted(claimed):
-        raw = _witness(module, r * p, p)
+def _witnesses(module: FormalModule, p: int):
+    # (r, raw witness, dimension) per nearby slope, in increasing order: the
+    # slope walk's raw twist, measured by the kernel of psi_dim_twisted.
+    for r, raw in _slope_walk(module, p):
         dim = _twisted_dim(module, [raw], p)
         if dim <= 0:
             raise FalsificationError(
@@ -640,16 +638,16 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
                           ord_bound: int = DEFAULT_ORD_BOUND) -> NearbyCertificate:
     """Nearby slopes along x**p with a two-sided certificate.
 
-    Membership of each claimed slope is verified by an explicit witness
-    twist, measured raw as nearby_slopes measures it; the record holds the
-    twist in canonical form.  Every other slope r on the bounded
-    rational grid passes the slope test that psi_dim_twisted applies first:
-    no factor of the module has slope r*p, so every twist of slope r, the
-    generic ones of exhaustion_grid included, has vanishing nearby cycles.
-    The record counts that family; its twists are neither built nor
-    measured one at a time.  The records are built once per bound pair and
-    shared by every certificate on that grid, which looks up only its
-    claimed and present slopes.  The composed route
+    The members come from the slope walk that nearby_slopes reads, each
+    verified by its witness twist measured raw as nearby_slopes measures it;
+    the record holds the twist in canonical form.  Every other slope r on
+    the bounded rational grid passes the slope test that psi_dim_twisted
+    applies first: no factor of the module has slope r*p, so every twist of
+    slope r, the generic ones of exhaustion_grid included, has vanishing
+    nearby cycles.  The record counts that family; its twists are neither
+    built nor measured one at a time.  The records are built once per bound
+    pair and shared by every certificate on that grid, which looks up only
+    its member and present slopes.  The composed route
     psi_dim(tensor(module, pullback(p, twist)), p) is kept as the test
     oracle.  A failure on either side raises FalsificationError.  Bounds
     below 1 would leave the grid vacuous and raise ValueError before any
@@ -658,18 +656,19 @@ def certify_nearby_slopes(module: FormalModule, p: int, *,
     if ram_bound < 1 or ord_bound < 1:
         raise ValueError(f"certificate bounds must be >= 1, got ram_bound="
                          f"{ram_bound}, ord_bound={ord_bound}")
-    claimed = nearby_slopes(module, p, verify=False)
     members = tuple(WitnessRecord(r, _canonical_twist(raw), dim)
-                    for r, raw, dim in _witnesses(module, p, claimed))
+                    for r, raw, dim in _witnesses(module, p))
+    claimed = {w.slope for w in members}
 
     # An exhaustion failure replays on the same grid.
     bounds = ("" if (ram_bound, ord_bound) == (DEFAULT_RAM_BOUND, DEFAULT_ORD_BOUND)
               else f" --ram-bound {ram_bound} --ord-bound {ord_bound}")
     records, index = _exhaustion_records(ram_bound, ord_bound)
     missed = [r for r in {s / p for s in slopes(module)} - claimed if r in index]
-    if missed:  # claimed missed r: name the least such r's witness twist
+    if missed:  # the walk and slopes() drifted apart: name the least r's twist
         r = min(missed)
-        twist = _canonical_twist(_witness(module, r * p, p))
+        f = next(f for f in module.factors if f.slope == r * p)
+        twist = _canonical_twist(_raw_witness(f, p))
         raise FalsificationError(
             f"slope {r} was predicted absent (p={p}) but twist "
             f"{_expr(twist)} gives nearby-cycle dimension "

@@ -42,13 +42,13 @@ class ScriptError(SlopelabError):
 
 def json_int(value, field: str) -> int:
     """An integer field of a model or script: a JSON integer or a numeric
-    string such as "1".  A JSON boolean or float, which int() would
-    truncate, and a string that is no integer are refused naming the
-    field."""
-    if isinstance(value, str):
+    string such as "1" (a sign and ASCII digits).  A JSON boolean or float,
+    which int() would truncate, and any other string, such as "1_0" or one
+    in other scripts' digits, are refused naming the field."""
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # more than 4300 digits
             pass
     elif isinstance(value, int) and not isinstance(value, bool):
         return value

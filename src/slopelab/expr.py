@@ -74,9 +74,9 @@ def _tokenize(text: str) -> Iterator[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII digits only: int() reads others too
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             yield Token("INT", text[i:j], line, col)
             col += j - i

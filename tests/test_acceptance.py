@@ -28,7 +28,7 @@ from slopelab.elementary import (
     tensor,
     witness_twist,
 )
-from slopelab.elementary import _twisted_dim, _witness
+from slopelab.elementary import _twisted_dim
 from slopelab.exact_algebra import MultiIndex
 from slopelab.expr import parse_and_eval
 from slopelab.monomial_models import MonomialFunction
@@ -41,6 +41,7 @@ from slopelab.randomgen import (
 
 from generic_twists import generic_twists
 from golden_operators import GOLDEN_FIXTURES, build_operator
+from slope_rule import check_walk
 
 F = Fraction
 ACCEPTANCE_SEED = 20124
@@ -220,7 +221,9 @@ def test_raw_witnesses_measure_like_canonical_ones(corpus, monkeypatch):
     """nearby_slopes measures each witness twist raw, on the degree-p*ram
     cover and in no canonical form; every raw dimension equals that of the
     canonical witness twist, for every claimed slope of the corpus, p <= 6.
-    The last case is an unreduced cover: p*ram = 2 divides the exponent -2."""
+    The slope walk that yields the raw witnesses agrees with the slope rule
+    written out factor by factor (slope_rule.check_walk).  The last case is
+    an unreduced cover: p*ram = 2 divides the exponent -2."""
     cases = [(m, p) for m in corpus for p in range(1, 7)]
     cases.append((parse_and_eval("El(1,u^-2,rank=1)"), 2))
     elementary_module = sys.modules["slopelab.elementary"]
@@ -233,8 +236,9 @@ def test_raw_witnesses_measure_like_canonical_ones(corpus, monkeypatch):
         for name in ("make_elementary", "_conjugates"):
             patched.setattr(elementary_module, name, refuse)
         for m, p in cases:
-            for r in sorted(nearby_slopes(m, p)):
-                witness = _witness(m, r * p, p)
+            walk = check_walk(m, p)
+            assert [r for r, _ in walk] == sorted(nearby_slopes(m, p))
+            for r, witness in walk:
                 raw.append((m, p, r, witness, _twisted_dim(m, [witness], p)))
     unreduced = 0
     for m, p, r, (ram, terms, rank), dim in raw:

@@ -208,6 +208,9 @@ def _document(base, fields):
     ({"Z": 5}, ("malformed script", "'Z' must be a JSON object, got 5")),
     ({"S": ["1", "1"]}, ("malformed script", "'S' must be a JSON object, got [\"1\", \"1\"]")),
     ([1, 2], ("malformed script", "the script must be a JSON object, got [1, 2]")),
+    # Integer strings are a sign and ASCII digits only, as rational ones are.
+    ({"Z": {"a": ["1_0", 1]}}, ("'Z.a' entry must be an integer, got \"1_0\"",)),
+    ({"dim": "\u0662"}, ("'dim' must be an integer, got \"\\u0662\"",)),
 ])
 def test_blowup_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     script = tmp_path / "s.blowup"
@@ -235,7 +238,8 @@ def test_blowup_initial_state_refusals_exit_1(tmp_path, capsys, fields, message)
 # also reads decimals, underscores and exponents: "1e10000000" cost seconds
 # of CPU, and "1e5000" printed "step 1: ok" before failing.  Each is refused
 # before any step or table is printed.
-@pytest.mark.parametrize("text", ["1e10000000", "1e5", "0.5", "1_0"])
+@pytest.mark.parametrize("text", ["1e10000000", "1e5", "0.5", "1_0",
+                                  "\u0662", "1/\u0662", "\u00b2"])
 def test_blowup_refuses_other_numeric_strings_at_once(tmp_path, capsys, text):
     script = tmp_path / "s.blowup"
     script.write_text(json.dumps({**_SCRIPT, "S": {"r": [text, "1"]},
@@ -243,7 +247,7 @@ def test_blowup_refuses_other_numeric_strings_at_once(tmp_path, capsys, text):
     code, out, err = run(capsys, "blowup", "-s", str(script), "--verify")
     assert out == ""
     assert_clean_error(code, err, f"'S.r' entry must be an integer or a rational "
-                                  f"string, got \"{text}\"")
+                                  f"string, got {json.dumps(text)}")
 
 
 def test_json_rat_reads_signed_fractions_and_integers():
@@ -297,12 +301,46 @@ def test_json_rat_reads_signed_fractions_and_integers():
     # Rational strings are a sign, digits and an optional /digits only.
     ({"factors": [{"pole": [1, 0], "twist": ["1e5", "0"]}]},
      ("factor 0", "'twist' entry", '"1e5"')),
+    # Integer strings are a sign and ASCII digits only: int() reads "1_0" as
+    # 10 and "\u0662" (Arabic-Indic two) as 2.  A string of more than 4300
+    # digits is refused with the same message.
+    ({"dim": "1_0"}, ("'dim' must be an integer, got \"1_0\"",)),
+    ({"factors": [{"pole": ["\u0662", 0]}]},
+     ("factor 0: 'pole' entry must be an integer, got \"\\u0662\"",)),
+    ({"factors": [{"pole": [1, 0], "rank": "\u00b2"}]},
+     ("factor 0: 'rank' must be an integer, got \"\\u00b2\"",)),
+    ({"factors": [{"pole": ["1" * 4301, 0]}]},
+     ("factor 0: 'pole' entry must be an integer, got \"1111",)),
 ])
 def test_bound_wrong_shape_json_exits_1(tmp_path, capsys, fields, words):
     model = tmp_path / "m.model"
     model.write_text(json.dumps(_document({"dim": 2, "factors": [{"pole": [1, 0]}]}, fields)))
     code, _, err = run(capsys, "bound", "-m", str(model), "-f", "x1")
     assert_clean_error(code, err, *words)
+
+
+# A monomial's index and exponent are ASCII digits: a regular expression's
+# \d also matches other scripts' digits, which int() reads.
+@pytest.mark.parametrize("function", ["x\u0661*x\u0662", "x1^\u0662", "x\u00b2"])
+def test_bound_refuses_monomials_in_other_digits(tmp_path, capsys, function):
+    model = tmp_path / "m.model"
+    model.write_text(json.dumps({"dim": 2, "factors": [{"pole": [1, 0]}]}))
+    code, out, err = run(capsys, "bound", "-m", str(model), "-f", function)
+    assert_clean_error(code, err, "bad monomial token")
+    assert out == ""
+
+
+# Expression integers are ASCII digits: El(\u0661,u^-\u0663,rank=1) read as
+# El(1, u^-3, rank=1), and a superscript digit reached int() and printed its
+# bare message.
+@pytest.mark.parametrize("text, column", [("El(\u0661,u^-\u0663,rank=1)", 4),
+                                          ("El(\u00b2,u^-1,rank=1)", 4),
+                                          ("El(1,u^-1,rank=\u0661)", 16)])
+def test_expressions_refuse_other_digits(capsys, text, column):
+    code, out, err = run(capsys, "nearby", "-e", text, "-p", "1")
+    assert_clean_error(code, err, f"unexpected character {text[column - 1]!r} "
+                                  f"at line 1, column {column}")
+    assert out == ""
 
 
 def test_integer_fields_take_numeric_strings(tmp_path, capsys):

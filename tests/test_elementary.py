@@ -424,19 +424,22 @@ def test_falsified_witness_names_the_module_and_replay(monkeypatch):
 
 
 def test_falsified_exhaustion_names_the_twist_and_replay(monkeypatch):
-    # A nearby-slope set that misses slopes 1/2 and 1: the exhaustion's
-    # slope test finds the factors of slope r*p and names the least missed
-    # slope with its witness twist.
-    monkeypatch.setattr(_ELEMENTARY, "nearby_slopes",
-                        lambda *args, **kw: nearby_slopes(*args, **kw) - {F(1, 2), F(1)})
+    # A slope walk that misses slopes 1/2 and 1: the certificate's check
+    # against slopes() finds the factors of slope r*p and names the least
+    # missed slope with its witness twist, built from the factors, not
+    # from the walk.
     m = elementary(1, {-2: CycloRat.zeta(4)}) + elementary(1, {-1: 1})
+    expected = witness_twist(m, F(1), 2)
+    walk = _ELEMENTARY._slope_walk
+    monkeypatch.setattr(_ELEMENTARY, "_slope_walk", lambda *args: (
+        (r, raw) for r, raw in walk(*args) if r not in {F(1, 2), F(1)}))
     with pytest.raises(FalsificationError) as info:
         certify_nearby_slopes(m, 2, ram_bound=2, ord_bound=2)
     message = str(info.value)
     _replayable(message, m, 2)
     assert message.startswith("slope 1/2 was predicted absent (p=2) but twist ")
     twist = message.split("but twist ")[1].split(" gives")[0]
-    assert parse_and_eval(twist) == witness_twist(m, F(1), 2)
+    assert parse_and_eval(twist) == expected
     assert "nearby-cycle dimension 0;" not in message
     # The replay reruns the exhaustion on the same grid.
     assert message.endswith("--cert --ram-bound 2 --ord-bound 2")

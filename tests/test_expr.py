@@ -181,6 +181,9 @@ def test_parse_module_runs_no_module_operation(no_module_operations, text):
      "trailing input ')' at line 1, column 15 (expected '+', end of input)"),
     ("El(1, u^-1, rank=1)\n+\n  dual(\n Elt)", "unknown operation 'Elt' at "
      "line 4, column 2 (expected El, Reg, dual, tensor, pull, push)"),
+    # Integers are ASCII digits; str.isdigit() also took these.
+    ("El(\u0661,u^-\u0663,rank=1)", "unexpected character '\u0661' at line 1, column 4"),
+    ("El(\u00b2,u^-1,rank=1)", "unexpected character '\u00b2' at line 1, column 4"),
 ])
 def test_errors_come_before_any_module_operation(no_module_operations, text,
                                                  message):

@@ -9,6 +9,7 @@ them shows in review.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 from slopelab.elementary import (
@@ -22,6 +23,8 @@ from slopelab.elementary import (
 )
 from slopelab.exact_algebra import CycloRat
 from slopelab.expr import module_to_expr, phi_to_str
+
+from slope_rule import check_walk
 
 z, q = CycloRat.zeta, CycloRat.from_rational
 RANK_1 = RegularPart.of_rank(1)
@@ -39,6 +42,11 @@ PAIR_EXPONENTS = (-1, -2, -3)
 PAIR_COEFFICIENTS = (q(1), q(-1), z(3), z(4), 1 + z(4))
 PAIR_PS = (1, 2, 3)
 PAIR_MODULES = 51
+
+# Walk universe: sums of at most two pair-universe modules, each alone or
+# with a regular part of exponent 0, or of exponents 0 and 1/2.
+WALK_REGULAR_EXPONENTS = ((), (0,), (0, Fraction(1, 2)))
+WALK_MODULES = 4134
 
 
 def _raw_parts():
@@ -97,13 +105,19 @@ def test_every_rotation_gets_one_canonical_form_in_its_orbit():
     assert (parts, len(set(orbit_of_form.values()))) == (CANON_PARTS, CANON_ORBITS)
 
 
-def test_twisted_dimension_matches_the_composed_route_on_all_pairs():
-    # psi_dim_twisted against psi_dim(tensor(m, pullback(p, n)), p) for every
-    # ordered pair of the pair universe's distinct modules and every p.
+def _pair_modules() -> list:
+    # The pair universe's distinct modules.
     modules = list(dict.fromkeys(
         FormalModule.of([make_elementary(ram, {k: c}, RANK_1)])
         for ram in PAIR_RAMS for k in PAIR_EXPONENTS for c in PAIR_COEFFICIENTS))
     assert len(modules) == PAIR_MODULES
+    return modules
+
+
+def test_twisted_dimension_matches_the_composed_route_on_all_pairs():
+    # psi_dim_twisted against psi_dim(tensor(m, pullback(p, n)), p) for every
+    # ordered pair of the pair universe's distinct modules and every p.
+    modules = _pair_modules()
     for m, n in itertools.product(modules, repeat=2):
         for p in PAIR_PS:
             fast = psi_dim_twisted(m, n, p)
@@ -112,3 +126,22 @@ def test_twisted_dimension_matches_the_composed_route_on_all_pairs():
                 f"module {module_to_expr(m)}, twist {module_to_expr(n)}, p {p}: "
                 f"psi_dim_twisted {fast}, composed route {composed}; replay: python -m pytest "
                 "tests/test_small_scope.py -k composed_route")
+
+
+def test_slope_walk_follows_the_slope_rule_on_all_sums():
+    # The slope walk against the slope rule written out factor by factor
+    # (slope_rule.check_walk) on every module of the walk universe and every
+    # p: equal slopes from different factors, a merged factor (m + m), slope
+    # 0 from one or two regular factors, and the zero module.
+    modules = _pair_modules()
+    sums = [FormalModule.zero()] + modules + [
+        m + n for m, n in itertools.combinations_with_replacement(modules, 2)]
+    universe = {}  # ordered, smallest first
+    for exponents in WALK_REGULAR_EXPONENTS:
+        regular = FormalModule.of(
+            make_elementary(1, {}, RegularPart.from_exponents([e])) for e in exponents)
+        universe.update(dict.fromkeys(m + regular for m in sums))
+    assert len(universe) == WALK_MODULES
+    for m in universe:
+        for p in PAIR_PS:
+            check_walk(m, p)
