@@ -14,7 +14,12 @@ The package is organized along its problem layers:
   tracking and inequality verification.
 * :mod:`slopelab.expr` / :mod:`slopelab.cli` - the expression language and
   command-line front end.
+
+The names exported here from the monomial models and the Newton polygon are
+imported on first access, so a one-variable query does not load those layers.
 """
+
+import importlib
 
 from slopelab.elementary import (
     ElementaryModule,
@@ -47,17 +52,22 @@ from slopelab.exact_algebra import (
     RamifiedExponent,
 )
 from slopelab.expr import module_to_expr, parse_and_eval, parse_module
-from slopelab.monomial_models import (
-    GenericSlopeDivisor,
-    GoodModel,
-    ModelFactor,
-    MonomialFunction,
-    curve_restriction,
-    highest_generic_slopes,
-    lemma_vanishing,
-    nearby_slope_bound,
-    vanishing_threshold,
-)
-from slopelab.newton_polygon import slopes_from_operator
 
 __version__ = "0.1.0"
+
+_LAZY = dict.fromkeys(("GenericSlopeDivisor", "GoodModel", "ModelFactor", "MonomialFunction",
+                       "curve_restriction", "highest_generic_slopes", "lemma_vanishing",
+                       "nearby_slope_bound", "vanishing_threshold"),
+                      "slopelab.monomial_models")
+_LAZY["slopes_from_operator"] = "slopelab.newton_polygon"
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(_LAZY[name]), name)
+    elif name in ("monomial_models", "newton_polygon"):
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

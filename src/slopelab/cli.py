@@ -2,6 +2,10 @@
 
 Exit codes: 0 success; 1 usage, parse, or file errors; 2 a checked property
 or verification failed (so CI can tell falsification from misuse).
+
+`slopes` and `nearby` load only the one-variable calculus and the expression
+language; `bound`, `blowup` and `selftest` import their layers in their own
+handlers, so a query pays at start-up only for the layers it runs.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-from slopelab import blowup as blowup_mod
-from slopelab import randomgen
 from slopelab.elementary import (
     DEFAULT_ORD_BOUND,
     DEFAULT_RAM_BOUND,
@@ -24,20 +26,9 @@ from slopelab.elementary import (
     nearby_slopes,
     slopes,
 )
-from slopelab.errors import ExpressionError, FalsificationError, ScriptError
+from slopelab.errors import ExpressionError, FalsificationError, ScriptError, ascii_int
 from slopelab.exact_algebra import MultiIndex
 from slopelab.expr import module_to_expr, parse_and_eval
-from slopelab.monomial_models import (
-    GoodModel,
-    MonomialFunction,
-    curve_restriction,
-    highest_generic_slopes,
-    lemma_vanishing,
-    load_model,
-    nearby_slope_bound,
-    vanishing_threshold,
-)
-from slopelab.selftest import run_selftest
 
 SCHEMA = "1"
 
@@ -49,6 +40,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_option(text: str) -> int:
+    # Integer options follow json_int's rule; argparse names the option.
+    number = ascii_int(text)
+    if number is None:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in ASCII digits, got {text!r}")
+    return number
 
 
 def _build_parser() -> _Parser:
@@ -63,11 +63,11 @@ def _build_parser() -> _Parser:
 
     p_nearby = sub.add_parser("nearby", help="nearby slopes along x^p")
     p_nearby.add_argument("-e", "--expr", required=True)
-    p_nearby.add_argument("-p", type=int, required=True)
+    p_nearby.add_argument("-p", type=_int_option, required=True)
     p_nearby.add_argument("--cert", action="store_true",
                           help="emit witness and exhaustion certificates")
-    p_nearby.add_argument("--ram-bound", type=int, default=DEFAULT_RAM_BOUND)
-    p_nearby.add_argument("--ord-bound", type=int, default=DEFAULT_ORD_BOUND)
+    p_nearby.add_argument("--ram-bound", type=_int_option, default=DEFAULT_RAM_BOUND)
+    p_nearby.add_argument("--ord-bound", type=_int_option, default=DEFAULT_ORD_BOUND)
     p_nearby.add_argument("--json", action="store_true")
 
     p_bound = sub.add_parser("bound", help="bounds for a monomial good model")
@@ -85,8 +85,8 @@ def _build_parser() -> _Parser:
     p_blow.add_argument("--json", action="store_true")
 
     p_self = sub.add_parser("selftest", help="run the property-test suites")
-    p_self.add_argument("--cases", type=int, default=40)
-    p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--cases", type=_int_option, default=40)
+    p_self.add_argument("--seed", type=_int_option, default=None)
     p_self.add_argument("--json", action="store_true")
 
     return parser
@@ -97,6 +97,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _parse_monomial(text: str, dim: int) -> MonomialFunction:
+    from slopelab.monomial_models import MonomialFunction
     entries = [0] * dim
     for token in text.replace(" ", "").split("*"):
         match = re.fullmatch(r"x([0-9]+)(?:\^([0-9]+))?", token)
@@ -178,6 +179,7 @@ _SPOT_CURVES = ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 3, 1), (3, 1, 1, 2))
 
 
 def _curve_checks(model: GoodModel, f: MonomialFunction, threshold) -> list[dict]:
+    from slopelab.monomial_models import curve_restriction
     checks = []
     for base in _SPOT_CURVES:
         curve = MultiIndex(base[i % len(base)] for i in range(model.dim))
@@ -196,6 +198,8 @@ def _curve_checks(model: GoodModel, f: MonomialFunction, threshold) -> list[dict
 
 
 def _cmd_bound(args) -> int:
+    from slopelab.monomial_models import (highest_generic_slopes, lemma_vanishing, load_model,
+                                          nearby_slope_bound, vanishing_threshold)
     model = load_model(args.model)
     f = _parse_monomial(args.function, model.dim)
     div = highest_generic_slopes(model)
@@ -250,6 +254,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from slopelab import blowup as blowup_mod
     state = blowup_mod.replay(blowup_mod.load_script(args.script))
     final = blowup_mod.verify_inequality(state)
     # Rows never change, so the state after step i is the first dim + i rows
@@ -280,13 +285,14 @@ def _cmd_blowup(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.cases < 1:
         raise _UsageError("--cases must be >= 1")
+    from slopelab.randomgen import DEFAULT_SEED
+    from slopelab.selftest import run_selftest
     seed = args.seed
     if seed is None:
-        env = os.environ.get("SLOPELAB_SEED", randomgen.DEFAULT_SEED)
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"SLOPELAB_SEED must be an integer, got {env!r}") from None
+        env = os.environ.get("SLOPELAB_SEED")
+        seed = DEFAULT_SEED if env is None else ascii_int(env)
+        if seed is None:
+            raise ValueError(f"SLOPELAB_SEED must be an integer, got {env!r}")
     results = run_selftest(seed=seed, cases=args.cases)
     ok = all(r.ok for r in results)
     if args.json:

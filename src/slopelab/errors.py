@@ -40,16 +40,26 @@ class ScriptError(SlopelabError):
         super().__init__(f"{prefix}{message}")
 
 
-def json_int(value, field: str) -> int:
-    """An integer field of a model or script: a JSON integer or a numeric
-    string such as "1" (a sign and ASCII digits).  A JSON boolean or float,
-    which int() would truncate, and any other string, such as "1_0" or one
-    in other scripts' digits, are refused naming the field."""
-    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+def ascii_int(text: str) -> int | None:
+    """The integer that `text` spells as a sign and ASCII digits, with
+    surrounding whitespace, or None for any other string, such as "1_0" or
+    one in other scripts' digits, which int() would also read."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
         try:
-            return int(value)
+            return int(text)
         except ValueError:  # more than 4300 digits
             pass
+    return None
+
+
+def json_int(value, field: str) -> int:
+    """An integer field of a model or script: a JSON integer or a numeric
+    string such as "1" (ascii_int).  A JSON boolean or float, which int()
+    would truncate, and any other string are refused naming the field."""
+    if isinstance(value, str):
+        number = ascii_int(value)
+        if number is not None:
+            return number
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ScriptError(f"{field} must be an integer, got {json.dumps(value)}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -431,48 +431,100 @@ def _monomial(c: CycloRat) -> Optional[tuple[Fraction, int, int]]:
 
 
 def least_rotation(c: CycloRat, ram: int, residues: Iterable[int]) -> int:
-    """The residue r in `residues` that minimizes (c * zeta_ram^r).sort_key(),
-    by root-of-unity logs when c is monomial, otherwise by the orders of the
-    products first.
+    """The residue r in `residues` that minimizes (c * zeta_ram^r).sort_key().
+
+    A sort key leads with the order of the least field, so every residue
+    gets that order first, in integers, and only the residues that tie on
+    the least order are compared further; a lone one is not.
 
     A monomial coefficient c = x * zeta_m^e, x a positive rational, is
     compared without the product: c * zeta_ram^r = x * zeta_M^t with
     M = lcm(m, ram) and t = e*M/m + r*M/ram (mod M).  Scaling by x > 0
     keeps the least field and the order of the coordinates, so the
-    residues compare as the keys of zeta_M^t do.  Distinct r give distinct
-    t mod M, hence distinct roots and no ties.  Only rational c and c with
-    one nonzero coordinate are read as monomials (see _monomial).
+    residues compare as the keys of zeta_M^t do, read in closed form: the
+    order from gcd(M, t) and the 2 (mod 4) fold for every residue, then,
+    for the ties only, at most phi(rad n) nonzero coordinates (_root_key).
+    Distinct r give distinct t mod M, hence distinct roots and no ties
+    among the keys.  Only rational c and c with one nonzero coordinate are
+    read as monomials (see _monomial).  No coordinates are built for the
+    orbit; the caller builds the winner.
 
-    Any other c, of least order m, is compared first by the order of each
-    x_t = c * zeta_M^t, t = r*M/ram, since a sort key leads with it, and
-    those orders come from Galois logs in integers (_orbit_orders).  The
-    descent from Q(zeta_n) to Q(zeta_q), q = n/p, runs as _demote's does.
-    For p = 2 and q odd the two fields are one.  If m does not divide
-    lcm(q, ram), no x_t lies in Q(zeta_q), because c = x_t * zeta_ram^-r
-    would then lie in Q(zeta_lcm(q, ram)); so that prime stops with no
-    field work.  Otherwise Gal(Q(zeta_n)/Q(zeta_q)) is cyclic, generated
-    by sigma_a for a unit a = 1 (mod q), and x_t, already in Q(zeta_n),
-    lies in Q(zeta_q) iff sigma_a fixes it: sigma_a(c) = c * zeta_M^(t(1-a)).
-    As q | 1 - a, that root lies in mu_(M/q), so one log lam of sigma_a(c)
-    against c modulo M/q (root_log, no division) decides every residue:
-    x_t descends iff lam = t(1-a)/q (mod M/q).  Only the residues that tie
-    on the least order are built as products, and a lone one is not built.
-    A root of unity spread over many coordinates, such as
-    zeta(2003)^2002, takes this route too: its orbit mostly stays in
-    large fields, so only the few residues in its own field are built.
+    Any other c, of least order m, gets the order of each
+    x_t = c * zeta_M^t, t = r*M/ram, from Galois logs in integers
+    (_orbit_orders).  The descent from Q(zeta_n) to Q(zeta_q), q = n/p,
+    runs as _demote's does.  For p = 2 and q odd the two fields are one.
+    If m does not divide lcm(q, ram), no x_t lies in Q(zeta_q), because
+    c = x_t * zeta_ram^-r would then lie in Q(zeta_lcm(q, ram)); so that
+    prime stops with no field work.  Otherwise Gal(Q(zeta_n)/Q(zeta_q)) is
+    cyclic, generated by sigma_a for a unit a = 1 (mod q), and x_t,
+    already in Q(zeta_n), lies in Q(zeta_q) iff sigma_a fixes it:
+    sigma_a(c) = c * zeta_M^(t(1-a)).  As q | 1 - a, that root lies in
+    mu_(M/q), so one log lam of sigma_a(c) against c modulo M/q (root_log,
+    no division) decides every residue: x_t descends iff
+    lam = t(1-a)/q (mod M/q).  The ties are built as products.  A root of
+    unity spread over many coordinates, such as zeta(2003)^2002, takes
+    this route too: its orbit mostly stays in large fields, so only the
+    few residues in its own field are built.
     """
     mono = _monomial(c)
     if mono is None:
         orders = _orbit_orders(c, ram, residues)
-        least = min(orders.values())
-        ties = [r for r, n in orders.items() if n == least]
-        if len(ties) == 1:
-            return ties[0]
-        return min(ties, key=lambda r: (c * _zeta_pow(ram, r)).sort_key())
-    _, m, e = mono
-    M = lcm(m, ram)
-    return min(residues,
-               key=lambda r: _zeta_pow(M, e * (M // m) + r * (M // ram)).sort_key())
+        key = lambda r: (c * _zeta_pow(ram, r)).sort_key()
+    else:
+        _, m, e = mono
+        M = lcm(m, ram)
+        start, step = e * (M // m), M // ram
+        orders = {}
+        for r in residues:  # the order zeta_M^t is stored in, as in _zeta_pow
+            d = M // gcd(M, start + r * step)
+            orders[r] = d // 2 if d % 4 == 2 else d
+        key = lambda r: _root_key(M, (start + r * step) % M)
+    least = min(orders.values())
+    ties = [r for r, n in orders.items() if n == least]
+    return ties[0] if len(ties) == 1 else min(ties, key=key)
+
+
+@lru_cache(maxsize=1024)
+def _root_key(M: int, t: int) -> tuple:
+    """A key that orders the roots zeta_M^t exactly as
+    _zeta_pow(M, t).sort_key() does, built in integers from at most
+    phi(rad n) coordinates, n the order of the root's field.
+
+    As in _zeta_pow, the root is sign * zeta_n^j: with g = gcd(M, t),
+    d = M/g and k = t/g, it is zeta_d^k, or -zeta_n^(k(n+1)/2) with
+    n = d/2 when d = 2 (mod 4).  For j < phi(n) its coordinates are
+    sign * e_j.  Otherwise let r = rad(n) and s = n/r.  Then
+    Phi_n(x) = Phi_r(x^s) and phi(n) = s*phi(r), so with j = s*q + u,
+    u < s, x^j = x^u * y^q for y = x^s, and its coordinates are those of
+    y^q modulo Phi_r, at the indices s*i + u (_cyclotomic_power).
+
+    Two dense tuples of one length compare at their first differing index,
+    where a missing sparse entry reads 0.  Keying the nonzero entries
+    (i, a), ascending, as (0, i, a) for a < 0 and (2, -i, a) for a > 0,
+    with (1,) for the zeros after the last one, makes the keys compare the
+    same way.
+    """
+    g = gcd(M, t)
+    d, k = M // g, t // g
+    if d % 4 == 2:
+        n = d // 2
+        j, sign = k * (n + 1) // 2 % n, -1
+    else:
+        n, j, sign = d, k % d, 1
+    primes = _prime_factors(n)
+    r = prod(primes)
+    s = n // r
+    q, u = divmod(j, s)
+    coords = (((j, sign),) if q < prod(p - 1 for p in primes) else
+              [(s * i + u, sign * a) for i, a in _cyclotomic_power(r, q)])
+    return n, (*[(0, i, a) if a < 0 else (2, -i, a) for i, a in coords], (1,))
+
+
+@lru_cache(maxsize=256)
+def _cyclotomic_power(r: int, q: int) -> tuple[tuple[int, int], ...]:
+    # The nonzero coordinates (i, a) of y^q modulo Phi_r, ascending i; an
+    # integer input stays in integers through the reduction.
+    return tuple((i, a) for i, a in enumerate(_reduce_mod_cyclotomic([0] * q + [1], r)) if a)
 
 
 def _orbit_orders(c: CycloRat, ram: int, residues: Iterable[int]) -> dict[int, int]:

@@ -3,11 +3,13 @@
 import contextlib
 import copy
 import functools
+import importlib
 import io
 import json
 import operator
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slopelab
+from slopelab import exact_algebra
 from slopelab.cli import main
 from slopelab.elementary import regular_module
 from slopelab.errors import json_rat
@@ -424,11 +428,131 @@ def test_bound_spot_curves_extend_past_dimension_4(tmp_path, capsys):
                  "  certified absent (ram <= 12, pole order <= 24): 182 slopes, "
                  "762 twists checked\n",
                  id="nearby-root-log-closed-form-p802"),
+    # Large covers: the orbit minimum compares roots of unity of Q(zeta_2000)
+    # and Q(zeta_4000) by closed-form keys and builds only the winner.
+    pytest.param(("slopes", "-e", "push(2000, El(1,u^-1,rank=1))"),
+                 "expr: El(2000, -u^-1, rank=1)\nrank: 2000\nslopes: 1/2000:2000\n"
+                 "irregularity: 1\n",
+                 id="slopes-push-2000"),
+    pytest.param(("slopes", "-e", "El(2000,u^-1 + u^-2,rank=1)"),
+                 "expr: El(2000, -u^-2 - zeta(4)*u^-1, rank=1)\nrank: 2000\n"
+                 "slopes: 1/1000:2000\nirregularity: 2\n",
+                 id="slopes-two-terms-2000"),
+    pytest.param(("nearby", "-e", "El(1,u^-1,rank=1)", "-p", "4000", "--cert"),
+                 "nearby slopes along x^4000: 1/4000\n"
+                 "  slope 1/4000: witness El(4000, -u^-1, rank=1) gives "
+                 "nearby-cycle dimension 4000\n"
+                 "  certified absent (ram <= 12, pole order <= 24): 182 slopes, "
+                 "762 twists checked\n",
+                 id="nearby-cert-p4000"),
 ])
 def test_high_conductor_stdout_is_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def test_large_cover_leaves_no_root_per_residue_in_the_caches(capsys):
+    # El(2000) has 2000 residues; the orbit minimum reads their keys in
+    # closed form, so the root caches gain a few entries, not one per residue.
+    caches = (exact_algebra._zeta_pow, exact_algebra._zeta_power_coords)
+    importlib.import_module("slopelab.elementary")._galois_canonical.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
+    code, out, _ = run(capsys, "slopes", "-e", "El(2000,u^-1,rank=1)")
+    assert code == 0 and "expr: El(2000, -u^-1, rank=1)" in out
+    assert max(cache.cache_info().currsize for cache in caches) <= 4, \
+        [cache.cache_info() for cache in caches]
+
+
+def _loaded_layers(code):
+    # The slopelab modules loaded after running `code` in a fresh interpreter.
+    script = (f"import sys\n{code}\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('slopelab'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(slopelab.__file__)), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+_OTHER_LAYERS = {f"slopelab.{layer}" for layer in
+                 ("blowup", "selftest", "randomgen", "monomial_models", "newton_polygon")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["slopes", "-e", "El(3,u^-2,rank=1)"],
+    ["nearby", "-e", "El(2,u^-3,rank=1)", "-p", "2", "--cert"],
+])
+def test_one_variable_queries_load_no_other_layer(argv):
+    loaded = _loaded_layers(
+        "import runpy\n"
+        f"sys.argv = ['slopelab', *{argv!r}]\n"
+        "try:\n    runpy.run_module('slopelab', run_name='__main__')\n"
+        "except SystemExit as done:\n    assert done.code == 0, done.code")
+    assert "slopelab.elementary" in loaded and not loaded & _OTHER_LAYERS, loaded
+
+
+# Every name the package exported when it imported all its layers eagerly,
+# the two multivariate modules among them.
+_EXPORTS = """
+    ElementaryModule FormalModule RegularPart certify_nearby_slopes dual elementary
+    irregularity is_regular make_elementary nearby_slopes psi_dim pullback pushforward
+    regular_module slopes tensor witness_twist ExpressionError FalsificationError
+    ScriptError SlopelabError CycloRat MultiIndex RamifiedExponent module_to_expr
+    parse_and_eval parse_module GenericSlopeDivisor GoodModel ModelFactor MonomialFunction
+    curve_restriction highest_generic_slopes lemma_vanishing nearby_slope_bound
+    vanishing_threshold slopes_from_operator __version__ exact_algebra errors expr
+    monomial_models newton_polygon
+""".split()
+
+
+def test_every_exported_name_still_imports():
+    loaded = _loaded_layers(
+        "import slopelab\n"
+        "assert 'slopelab.monomial_models' not in sys.modules\n"
+        f"for name in {_EXPORTS!r}:\n    getattr(slopelab, name)\n"
+        "from slopelab import GoodModel, slopes_from_operator\n"
+        "assert slopelab.monomial_models.GoodModel is GoodModel\n"
+        "assert slopes_from_operator.__module__ == 'slopelab.newton_polygon'\n"
+        "try:\n    slopelab.missing\nexcept AttributeError:\n    pass\n"
+        "else:\n    raise AssertionError('slopelab.missing')")
+    assert {"slopelab.monomial_models", "slopelab.newton_polygon"} <= loaded
+
+
+_EXPR = "El(1,u^-1,rank=1)"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("nearby", "-e", _EXPR, "-p", "\u0662"), "-p"),
+    (("nearby", "-e", _EXPR, "-p", "1_0"), "-p"),
+    (("nearby", "-e", _EXPR, "-p", "2.0"), "-p"),
+    (("nearby", "-e", _EXPR, "-p", "2", "--cert", "--ram-bound", "1_2"), "--ram-bound"),
+    (("nearby", "-e", _EXPR, "-p", "2", "--cert", "--ord-bound", "\u0662\u0664"),
+     "--ord-bound"),
+    (("selftest", "--cases", "\u0663"), "--cases"),
+    (("selftest", "--cases", "1", "--seed", "\u0663"), "--seed"),
+    (("selftest", "--cases", "1", "--seed", "0x7"), "--seed"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: argument {option}: must be an integer in "
+                          "ASCII digits, got "), err
+
+
+@pytest.mark.parametrize("seed", ["\u0667", "1_0", " 7x"])
+def test_selftest_env_seed_takes_ascii_digits_only(capsys, monkeypatch, seed):
+    monkeypatch.setenv("SLOPELAB_SEED", seed)
+    code, out, err = run(capsys, "selftest", "--cases", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: SLOPELAB_SEED must be an integer, got {seed!r}\n"
+
+
+def test_integer_options_take_a_sign_and_surrounding_spaces(capsys):
+    code, out, _ = run(capsys, "nearby", "-e", _EXPR, "-p", " +2 ")
+    assert code == 0 and out == "nearby slopes along x^2: 1/2\n"
 
 
 def test_bound_zero_denominator_exits_1(tmp_path, capsys):
@@ -514,7 +638,7 @@ def test_selftest_env_seed_must_be_an_integer(capsys, monkeypatch):
 
 def test_selftest_failure_is_replayable(capsys, monkeypatch):
     # A "dual" that adds a summand breaks the involution on every case.
-    selftest = sys.modules["slopelab.selftest"]
+    selftest = importlib.import_module("slopelab.selftest")
     monkeypatch.setattr(selftest, "dual", lambda m: m + regular_module(1))
     code, out, err = run(capsys, "selftest", "--cases", "3", "--seed", "7")
     assert code == 2 and "FALSIFICATION" in err
@@ -532,7 +656,7 @@ def test_selftest_certificate_failure_carries_one_replay(capsys, monkeypatch):
     # Inside the certificate only, witness twists measure 0: the
     # certificate of every nonzero module fails.
     elementary_module = sys.modules["slopelab.elementary"]
-    selftest = sys.modules["slopelab.selftest"]
+    selftest = importlib.import_module("slopelab.selftest")
     certify = selftest.certify_nearby_slopes
 
     def failing_certificate(*args, **kwargs):

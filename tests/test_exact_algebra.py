@@ -1,6 +1,7 @@
 """Tests for the exact scalar layer: cyclotomic numbers, ramified tails,
 multi-indices."""
 
+import functools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -139,6 +140,88 @@ def test_roots_of_unity_never_demote():
     for e in range(600):
         CycloRat.zeta(600, e)
     assert exact_algebra._demote_cached.cache_info().misses == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _taps(n):
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, [(i, a) for i, a in enumerate(phi[:-1]) if a]
+
+
+def _dense_root_key(M, t):
+    # _zeta_pow(M, t).sort_key() with the same fold and the same dense
+    # reduction of x^j modulo Phi_n, in integers instead of Fractions.
+    g = gcd(M, t)
+    n, j, sign = M // g, t // g, 1
+    if n % 4 == 2:
+        n, j, sign = n // 2, j * (n // 2 + 1) // 2, -1
+    j %= n
+    deg, taps = _taps(n)
+    coords = [0] * max(j + 1, deg)
+    coords[j] = sign
+    for top in range(j, deg - 1, -1):
+        if coords[top]:
+            for i, a in taps:
+                coords[top - deg + i] -= coords[top] * a
+    return n, tuple(coords[:deg])
+
+
+def test_root_keys_order_as_the_dense_sort_keys():
+    # The closed-form keys of least_rotation against the sort keys of the
+    # roots they stand for.  _zeta_pow builds phi(n) Fractions per root, about
+    # 20 s for every root of every M <= 360, so it is the oracle up to M = 60
+    # and on a seeded sample up to M = 1260; the exhaustive range to 360
+    # compares with its reduction run in integers, which orders the same.
+    for M in range(1, 361):
+        closed = sorted(range(M), key=lambda t: exact_algebra._root_key(M, t))
+        assert closed == sorted(range(M), key=lambda t: _dense_root_key(M, t)), M
+        if M <= 60:
+            assert closed == sorted(
+                range(M), key=lambda t: exact_algebra._zeta_pow(M, t).sort_key()), M
+    rng = random.Random(43)
+    for _ in range(16):
+        M = rng.randint(361, 1260)
+        ts = rng.sample(range(M), 5) + [M // 2, M // 4, 0]
+        old = [exact_algebra._zeta_pow(M, t).sort_key() for t in ts]
+        assert [_dense_root_key(M, t) for t in ts] == old, M
+        closed = sorted(range(len(ts)), key=lambda i: exact_algebra._root_key(M, ts[i]))
+        assert closed == sorted(range(len(ts)), key=old.__getitem__), (M, ts)
+    exact_algebra._zeta_pow.cache_clear()
+    exact_algebra._zeta_power_coords.cache_clear()
+
+
+def _old_least_rotation(c, ram, residues):
+    # least_rotation's monomial branch before closed-form keys: the scan over
+    # the sort keys of zeta_M^t, every root built.
+    _, m, e = exact_algebra._monomial(c)
+    M = m * ram // gcd(m, ram)
+    return min(residues, key=lambda r: exact_algebra._zeta_pow(
+        M, e * (M // m) + r * (M // ram)).sort_key())
+
+
+def test_least_rotation_matches_the_scan_on_residue_cosets():
+    # Seeded cosets t0 + s*Z mod ram, the shape the survivor loop of
+    # _galois_canonical passes, with rational, negative and one-coordinate
+    # coefficients, on covers whose lcm with the coefficient's field is at
+    # most 360: the residue must be the old scan's.
+    z = CycloRat.zeta
+    coefficients = [CycloRat.from_rational(1), CycloRat.from_rational(Fraction(-3, 2)),
+                    -z(15, 7), 3 * z(9, 4), Fraction(-1, 5) * z(8, 5), 2 * z(7, 3),
+                    -z(12, 1), z(4, 1)]
+    rng = random.Random(43)
+    checked = 0
+    while checked < 120:
+        c = rng.choice(coefficients)
+        ram = rng.randint(1, 180)
+        if exact_algebra._monomial(c)[1] * ram // gcd(exact_algebra._monomial(c)[1], ram) > 360:
+            continue
+        s = rng.choice(exact_algebra.divisors(ram))
+        residues = range(rng.randrange(s), ram, s)
+        assert exact_algebra.least_rotation(c, ram, residues) == _old_least_rotation(
+            c, ram, residues), (c, ram, residues)
+        checked += 1
+    exact_algebra._zeta_pow.cache_clear()
+    exact_algebra._zeta_power_coords.cache_clear()
 
 
 def test_demotion_finds_the_least_field_by_galois_action():
