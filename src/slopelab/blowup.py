@@ -122,15 +122,16 @@ class Fan:
 
 @dataclass(frozen=True)
 class BlowupState:
-    """Immutable snapshot of a blow-up chain."""
+    """Immutable snapshot of a blow-up chain.  Its rows are the only copy of
+    Z and S; its mode is "toric" when it has a fan, else "abstract"."""
 
-    mode: str  # "toric" | "abstract"
     dim: int
     components: tuple[Component, ...]
-    degS: Fraction
-    z_vector: tuple[int, ...]
-    s_vector: tuple[Fraction, ...]
     fan: Optional[Fan]
+
+    @property
+    def mode(self) -> str:
+        return "abstract" if self.fan is None else "toric"
 
     @property
     def steps_applied(self) -> int:
@@ -150,16 +151,17 @@ class BlowupStep:
     epsS: Optional[tuple[int, ...]] = None
     epsE: Optional[tuple[int, ...]] = None
 
-    @property
-    def is_toric(self) -> bool:
-        return self.center is not None
-
 
 @dataclass(frozen=True)
 class InequalityReport:
-    degS: Fraction
+    """A state's rows and the ids of those over Z above their bound."""
+
     rows: tuple[Component, ...]
     violations: tuple[str, ...]
+
+    @property
+    def degS(self) -> Fraction:
+        return Fraction(self.rows[0].ndeg, self.rows[0].den)
 
     @property
     def ok(self) -> bool:
@@ -176,24 +178,24 @@ def initial_state(dim: int, z_mult: Sequence[int], s_mult: Sequence,
         raise ScriptError(f"dimension must be >= 1, got {dim}")
     if len(z_mult) != dim or len(s_mult) != dim:
         raise ScriptError("Z and S multiplicity vectors must have length dim")
-    a = tuple(int(v) for v in z_mult)
-    r = tuple(Fraction(v) for v in s_mult)
+    a = [int(v) for v in z_mult]
+    r = [Fraction(v) for v in s_mult]
     if any(v < 0 for v in a) or any(v < 0 for v in r):
         raise ScriptError("multiplicities must be nonnegative")
     if not any(a):
         raise ScriptError("Z must be a nonempty divisor (some a_i > 0)")
     den = lcm(*(v.denominator for v in r))
     s_num = [v.numerator * (den // v.denominator) for v in r]
-    degS = Fraction(sum(s_num), den)
-    comps = []
-    for i in range(dim):
-        ray = tuple(1 if j == i else 0 for j in range(dim)) if mode == "toric" else None
-        kind = ComponentKind.STRICT_Z if a[i] > 0 else ComponentKind.STRICT_S
-        comps.append(Component(f"D{i + 1}", kind, ray, a[i], s_num[i], sum(s_num), den))
-    fan = None
-    if mode == "toric":
-        fan = Fan(tuple(c.ray for c in comps), (frozenset(range(dim)),))
-    return BlowupState(mode, dim, tuple(comps), degS, a, r, fan)
+    ndeg = sum(s_num)
+    toric = mode == "toric"
+    rays = [tuple(1 if j == i else 0 for j in range(dim)) if toric else None
+            for i in range(dim)]
+    comps = tuple(
+        Component(f"D{i + 1}", ComponentKind.STRICT_Z if a[i] > 0 else ComponentKind.STRICT_S,
+                  rays[i], a[i], s_num[i], ndeg, den)
+        for i in range(dim))
+    fan = Fan(tuple(rays), (frozenset(range(dim)),)) if toric else None
+    return BlowupState(dim, comps, fan)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,8 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
     vZ = 0.  Every existing multiplicity is untouched.  Rejects
     inadmissible centers with a ScriptError naming the violated condition.
     """
-    toric = state.mode == "toric"
-    if toric != step.is_toric:
+    toric = state.fan is not None
+    if toric != (step.center is not None):
         raise ScriptError("toric states need steps with a 'center'" if toric
                           else "abstract states need alpha/epsS/epsE steps")
     weights = (_center_incidence(state, step.center) if toric
@@ -307,7 +309,6 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
                 "inadmissible center: equal to a strict-Z component "
                 "(condition (ii): nowhere dense)")
         # (iii): normal crossing, encoded as membership in the current fan.
-        assert fan is not None
         if not fan.is_cone(indices):
             raise ScriptError(
                 "inadmissible center: the rays do not span a cone of the "
@@ -315,7 +316,7 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
         fan, new_ray = fan.star_subdivide(indices)
         # Valuation linearity: the new ray's multiplicities must equal the
         # pairing of the ray with the original multiplicities (D1..Dn's).
-        pair_z = sum(n * m for n, m in zip(new_ray, state.z_vector))
+        pair_z = sum(n * c.vZ for n, c in zip(new_ray, state.components))
         pair_s = sum(n * c.nS for n, c in zip(new_ray, state.components))
         if pair_z != vZ_new or pair_s != vS_new:
             raise FalsificationError(
@@ -327,8 +328,7 @@ def blow_up(state: BlowupState, step: BlowupStep) -> BlowupState:
 
     new_comp = Component(f"E{state.steps_applied + 1}", ComponentKind.EXCEPTIONAL,
                          new_ray, vZ_new, vS_new, ndeg, den)
-    return BlowupState(state.mode, state.dim, state.components + (new_comp,),
-                       state.degS, state.z_vector, state.s_vector, fan)
+    return BlowupState(state.dim, state.components + (new_comp,), fan)
 
 
 def verify_inequality(state: BlowupState) -> InequalityReport:
@@ -340,7 +340,7 @@ def verify_inequality(state: BlowupState) -> InequalityReport:
     induction estimate that blow_up asserted; any violation would falsify
     the engine's bookkeeping and is listed explicitly.
     """
-    return InequalityReport(state.degS, state.components,
+    return InequalityReport(state.components,
                             tuple(c.id for c in state.components
                                   if c.vZ > 0 and c.ndeg * c.vZ < c.nS))
 

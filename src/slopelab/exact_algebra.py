@@ -20,21 +20,6 @@ from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending."""
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
-
-
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending, by trial division."""
     primes, p = [], 2
@@ -70,15 +55,26 @@ def _int_poly_div(num: list[int], den: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
+    """Coefficients of the n-th cyclotomic polynomial, ascending, monic.
+
+    Phi_r for r = rad(n) is built one prime at a time, Phi_pm(x) =
+    Phi_m(x^p) / Phi_m(x) for a prime p not dividing m, and then
+    Phi_n(x) = Phi_r(x^(n/r)); so only Phi_n itself is cached.
+    """
     if n < 1:
         raise ValueError(f"cyclotomic polynomial needs n >= 1, got {n}")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n)[:-1]:
-        poly = _int_poly_div(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    primes = _prime_factors(n)
+    poly = [-1, 1]
+    for p in primes:
+        poly = _int_poly_div(_at_power(poly, p), poly)
+    return tuple(_at_power(poly, n // prod(primes)))
+
+
+def _at_power(poly: Sequence[int], s: int) -> list[int]:
+    # The coefficients of poly(x^s).
+    out = [0] * (s * (len(poly) - 1) + 1)
+    out[::s] = poly
+    return out
 
 
 def euler_phi(n: int) -> int:

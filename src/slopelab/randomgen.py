@@ -101,16 +101,6 @@ def random_good_model(rng: random.Random, *, max_dim: int = 4,
 # Blow-up chains.
 # ---------------------------------------------------------------------------
 
-def random_initial_state(rng: random.Random, *, max_dim: int = 4,
-                         mode: str = "toric") -> blowup.BlowupState:
-    dim = rng.randint(2, max_dim)
-    a = [rng.randint(0, 3) for _ in range(dim)]
-    if not any(a):
-        a[rng.randrange(dim)] = rng.randint(1, 3)
-    r = [Fraction(rng.randint(0, 6), rng.choice((1, 1, 2))) for _ in range(dim)]
-    return blowup.initial_state(dim, a, r, mode)
-
-
 def random_toric_step(rng: random.Random,
                       state: blowup.BlowupState) -> blowup.BlowupStep | None:
     """A random admissible toric center of the current fan, or None if the
@@ -153,14 +143,22 @@ def random_chain_script(rng: random.Random, *, max_dim: int = 4,
     """A random admissible chain as the script that `slopelab blowup -s`
     reads.
 
-    Each step is drawn from the state the previous steps built.  Should
-    blow_up refuse a drawn step, the script ends with that step, so that a
-    replay meets the same error.
+    Z.a and S.r are written from the drawn values, never read back off a
+    state, so that `selftest.check_blowup` can pair the rays with them as
+    an oracle independent of `blowup.initial_state`.  Each step is drawn
+    from the state the previous steps built.  Should blow_up refuse a
+    drawn step, the script ends with that step, so that a replay meets the
+    same error.
     """
     mode = mode or rng.choice(("toric", "abstract"))
-    state = random_initial_state(rng, max_dim=max_dim, mode=mode)
-    script = {"dim": state.dim, "mode": mode, "Z": {"a": list(state.z_vector)},
-              "S": {"r": [str(r) for r in state.s_vector]}, "steps": []}
+    dim = rng.randint(2, max_dim)
+    a = [rng.randint(0, 3) for _ in range(dim)]
+    if not any(a):
+        a[rng.randrange(dim)] = rng.randint(1, 3)
+    r = [Fraction(rng.randint(0, 6), rng.choice((1, 1, 2))) for _ in range(dim)]
+    script = {"dim": dim, "mode": mode, "Z": {"a": a},
+              "S": {"r": [str(v) for v in r]}, "steps": []}
+    state = blowup.replay(script)
     for _ in range(rng.randint(0, max_steps)):
         if mode == "toric":
             step = random_toric_step(rng, state)

@@ -357,7 +357,9 @@ def check_blowup(scripts) -> SuiteResult:
     """Each case is a blow-up script, the JSON that `slopelab blowup -s`
     reads.  Its chain is replayed once and the inequality checked on the
     final rows; rows never change, so that is the check after every step.
-    A failure prints the script."""
+    On a toric chain every row's vZ and vS must be the pairing of its ray
+    with the script's own Z.a and S.r, which no row supplies.  A failure
+    prints the script."""
     res = SuiteResult("blowup-chains", len(scripts))
     for i, script in enumerate(scripts):
         try:
@@ -371,9 +373,10 @@ def check_blowup(scripts) -> SuiteResult:
                 f"step {state.steps_applied}", script)
         if state.mode == "toric":
             # v_E(x^m) = <ray_E, m> for every component.
+            a, r = [int(v) for v in script["Z"]["a"]], [F(v) for v in script["S"]["r"]]
             for comp in state.components:
-                pair_z = sum(x * a for x, a in zip(comp.ray, state.z_vector))
-                pair_s = sum(x * r for x, r in zip(comp.ray, state.s_vector))
+                pair_z = sum(x * v for x, v in zip(comp.ray, a))
+                pair_s = sum(x * v for x, v in zip(comp.ray, r))
                 _record(res, comp.vZ == pair_z and comp.vS == pair_s, i,
                         f"chain: valuation linearity ({comp.id})", script)
     return res

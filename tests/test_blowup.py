@@ -42,8 +42,8 @@ def test_origin_blowup_multiplicities():
     assert new.ray == (1, 1)
     assert new.vZ == 2  # toric valuation of x1*x2 along (1,1)
     assert new.vS == 5
-    assert state.degS == 5
     report = verify_inequality(state)
+    assert report.degS == 5
     assert report.ok
     row = next(r for r in report.rows if r.id == new.id)
     assert row.bound == 10 and row.margin == 5
@@ -64,7 +64,7 @@ def test_base_case_rows_hold_initially():
         assert report.ok
         for row in report.rows:
             if row.checked:
-                assert row.vS <= state.degS * row.vZ
+                assert row.vS <= report.degS * row.vZ
                 assert row.margin >= 0
 
 
@@ -157,7 +157,7 @@ def test_toric_steps_agree_with_their_abstract_incidences():
                 return tuple(int(c.id in raw["center"]) for c in before.by_kind(kind))
 
             abstract = blow_up(
-                dataclasses.replace(before, mode="abstract", fan=None),
+                dataclasses.replace(before, fan=None),
                 BlowupStep(alpha=indicator(ComponentKind.STRICT_Z),
                            epsS=indicator(ComponentKind.STRICT_S),
                            epsE=indicator(ComponentKind.EXCEPTIONAL)))
@@ -439,7 +439,8 @@ def test_rows_follow_the_fraction_rule_for_mixed_denominators():
                     assert sum(n * z for n, z in zip(row.ray, a)) == vZ
                     assert sum((n * v for n, v in zip(row.ray, r)), F(0)) == vS
             assert verify_inequality(state).ok
-            assert (state.degS, state.s_vector) == (degS, tuple(r))
+            assert verify_inequality(state).degS == degS
+            assert tuple(c.vS for c in state.components[:dim]) == tuple(r)
             steps += 1
     assert steps > 400
 
@@ -487,3 +488,66 @@ def test_star_subdivide_refuses_a_non_smooth_fan():
     fan = Fan(((1, 0), (1, 2)), (frozenset({0, 1}),))
     with pytest.raises(FalsificationError, match=re.escape("non-primitive ray (2, 2)")):
         fan.star_subdivide(frozenset({0, 1}))
+
+
+# ---------------------------------------------------------------------------
+# The state is its rows: the mode is read off the fan, and the checks that
+# read the rows still fire.
+# ---------------------------------------------------------------------------
+
+def test_the_state_and_report_hold_only_the_rows():
+    assert [f.name for f in dataclasses.fields(blowup.BlowupState)] == \
+        ["dim", "components", "fan"]
+    assert [f.name for f in dataclasses.fields(blowup.InequalityReport)] == \
+        ["rows", "violations"]
+    toric = initial_state(2, [1, 1], [2, 3], "toric")
+    assert toric.mode == "toric" and toric.fan.rays == tuple(c.ray for c in toric.components)
+    assert dataclasses.replace(toric, fan=None).mode == "abstract"
+    assert initial_state(2, [1, 1], [2, 3], "abstract").mode == "abstract"
+
+
+def test_blow_up_refuses_a_step_of_the_other_mode():
+    # Scripts cannot reach this refusal (a script's mode parses its steps),
+    # but a direct call can, in both directions.
+    toric = initial_state(2, [1, 1], [2, 3], "toric")
+    abstract = initial_state(2, [1, 1], [2, 3], "abstract")
+    with pytest.raises(ScriptError, match="toric states need steps with a 'center'"):
+        blow_up(toric, BlowupStep(alpha=(1, 1)))
+    with pytest.raises(ScriptError, match="abstract states need alpha/epsS/epsE steps"):
+        blow_up(abstract, BlowupStep(center=("D1", "D2")))
+
+
+def test_the_selftest_pairing_reads_the_script_not_the_rows(monkeypatch):
+    # An initial_state that forgets to scale r_1 = 1/3 to S's common
+    # denominator 12 gives D1 nS = 1, so vS(D1) = 1/12.  Every later row
+    # inherits the error through the recursion, and blow_up's own pairing,
+    # which reads the same rows, stays silent; check_blowup pairs the rays
+    # with the script's Z.a and S.r and turns red.
+    assert check_blowup([MIXED]).ok
+    real = blowup.initial_state
+
+    def unscaled_d1(*args):
+        state = real(*args)
+        d1 = dataclasses.replace(state.components[0], nS=1)
+        return dataclasses.replace(state, components=(d1,) + state.components[1:])
+
+    monkeypatch.setattr(blowup, "initial_state", unscaled_d1)
+    state = replay(MIXED)
+    assert state.components[0].vS == F(1, 12) and verify_inequality(state).ok
+    failures = check_blowup([MIXED]).failures
+    assert [f.split(";")[0] for f in failures] == [
+        f"case 0: chain: valuation linearity ({cid})" for cid in ("D1", "E1", "E2", "E3")]
+    assert failures[0].endswith(f"; script for slopelab blowup -s: {json.dumps(MIXED)}")
+
+
+def test_a_refused_chain_is_a_red_case_that_prints_its_script(tmp_path, capsys):
+    script = {"dim": 2, "Z": {"a": [1, 0]}, "S": {"r": ["2", "3"]}, "mode": "toric",
+              "steps": [{"center": ["D1", "D2"]}, {"center": ["D2", "E1"]}]}
+    (failure,) = check_blowup([script]).failures
+    assert failure.startswith("case 0: chain: step 2: inadmissible center: it misses "
+                              "the strict transform of Z (condition (i)")
+    assert failure.endswith(f"; script for slopelab blowup -s: {json.dumps(script)}")
+    path = tmp_path / "refused.blowup"
+    path.write_text(failure.split("blowup -s: ")[1])
+    assert cli_main(["blowup", "-s", str(path), "--verify"]) == 1
+    assert "step 2: inadmissible center" in capsys.readouterr().err

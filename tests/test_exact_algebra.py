@@ -19,10 +19,14 @@ from slopelab.exact_algebra import (
     RamifiedExponent,
     _prime_factors,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
 )
 from slopelab.selftest import check_cyclotomic_field
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending."""
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +55,27 @@ def test_cyclotomic_product_recovers_x_n_minus_1():
             prod = out
         expected = [-1] + [0] * (n - 1) + [1]
         assert prod == expected
+
+
+def test_cyclotomic_polynomial_matches_the_divisor_quotient():
+    # Oracle: the construction the prime-by-prime one replaced, x^n - 1
+    # divided by Phi_d for every proper divisor d.  By induction on n it
+    # pins every Phi_n up to 400.
+    for n in range(1, 401):
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in divisors(n)[:-1]:
+            poly = exact_algebra._int_poly_div(poly, cyclotomic_polynomial(d))
+        assert cyclotomic_polynomial(n) == tuple(poly), n
+
+
+def test_cyclotomic_polynomial_caches_only_its_argument():
+    # Phi_4620 comes from Phi_2310, built prime by prime, and the cache does
+    # not fill with the 48 divisors of 4620.
+    cyclotomic_polynomial.cache_clear()
+    assert euler_phi(4620) == 960
+    assert cyclotomic_polynomial.cache_info().currsize == 1
+    phi = cyclotomic_polynomial(4620)
+    assert phi[::2] == cyclotomic_polynomial(2310) and not any(phi[1::2])
 
 
 def test_euler_phi_matches_direct_count():
@@ -215,7 +240,7 @@ def test_least_rotation_matches_the_scan_on_residue_cosets():
         ram = rng.randint(1, 180)
         if exact_algebra._monomial(c)[1] * ram // gcd(exact_algebra._monomial(c)[1], ram) > 360:
             continue
-        s = rng.choice(exact_algebra.divisors(ram))
+        s = rng.choice(divisors(ram))
         residues = range(rng.randrange(s), ram, s)
         assert exact_algebra.least_rotation(c, ram, residues) == _old_least_rotation(
             c, ram, residues), (c, ram, residues)

@@ -2,8 +2,9 @@
 in process through `cli.main`, as `test_cli.py`'s `run` does.
 
 The corpus covers the CI smoke commands, the README examples, `nearby` in
-every output form, `blowup -s` in every mode, `bound` on item 1's model and
-`selftest`.  `write_golden_cli.py` writes it; see there before rewriting it.
+every output form, `blowup -s` in every mode, `bound` on ROADMAP item 1's
+model and `selftest`.  `write_golden_cli.py` writes it; see there before
+rewriting it.
 """
 
 import json

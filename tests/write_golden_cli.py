@@ -87,7 +87,8 @@ def _cases() -> list[dict]:
         cmd("bound", "-m", "{file}", "-f", "x1*x2", file=README_MODEL),
         cmd("blowup", "-s", "{file}", "--verify", file=README_CHAIN),
         cmd("selftest", "--cases", "60", "--seed", "7"),
-        # Bound on two models, text and JSON; item 1's model exits 2 today.
+        # Bound on two models, text and JSON; item 1's model exits 2 until
+        # that item is fixed.
         cmd("bound", "-m", "{file}", "-f", "x1*x2^2", "--json", file=CI_MODEL),
         cmd("bound", "-m", "{file}", "-f", "x1*x3", file=ITEM_1_MODEL),
         cmd("bound", "-m", "{file}", "-f", "x1*x3", "--json", file=ITEM_1_MODEL),
